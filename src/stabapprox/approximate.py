@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .catalog import (
     MixtureParams,
@@ -46,10 +45,19 @@ from .metrics import (
 SUPPORT_THRESHOLD = 1e-6
 
 _FD_STEP = 1e-7  # central finite-difference step for worst-path gradients
+_HONESTY_MARGIN_MAX = 1e-12  # largest roundoff margin _honest_probs tries
 
 
 class SolverError(RuntimeError):
     """Raised when no feasible solution could be located."""
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first call.  Only the
+    worst-case path needs it, so the average path runs on numpy alone."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -158,6 +166,38 @@ def _finish(
     return replace(result, support=tuple(extract_support(result)))
 
 
+def _honest_probs(x: np.ndarray, dvec: np.ndarray, f_target: float):
+    """(probs, f_model) from a QP solution, with probs >= 0, sum(probs) <= 1
+    and f_model = 1 - dvec @ probs <= f_target exactly in floating point.
+
+    The QP meets the simplex and honesty rows only to within roundoff.  For
+    a margin delta (0 first, then doubling from machine epsilon) the
+    solution is shrunk by 1 - delta toward the identity and then blended
+    toward the all-X vertex until f_model is f_target - delta.  Generator 0
+    is Pauli X, whose fidelity coefficient is 0 in every model, so the
+    blend (1 - t) p + t e_0 lowers f_model to (1 - t) f_model and keeps
+    sum(p) <= 1.  A one-for-one shift onto X alone would break sum(p) <= 1
+    where the simplex row is tight too.
+    """
+    base = np.clip(x, 0.0, None)
+    delta = 0.0
+    while delta <= _HONESTY_MARGIN_MAX:
+        probs = (1.0 - delta) * base
+        f_model = 1.0 - float(dvec @ probs)
+        excess = f_model - f_target + delta
+        if excess > 0.0:
+            t = excess / f_model if f_model > excess else 1.0
+            probs *= 1.0 - t
+            probs[0] += t
+            f_model = 1.0 - float(dvec @ probs)
+        if f_model <= f_target and float(probs.sum()) <= 1.0:
+            return probs, f_model
+        delta = max(2.0 * delta, np.finfo(float).eps)
+    raise SolverError(
+        f"no honest mixture within roundoff of the QP solution (f_target {f_target!r})"
+    )
+
+
 def _solve_average(problem: ApproximationProblem, x0=None) -> ApproximationResult:
     from .qp import solve_lsq_qp
 
@@ -169,8 +209,8 @@ def _solve_average(problem: ApproximationProblem, x0=None) -> ApproximationResul
         )
     f_target = float(problem.target.matrix[0, 0].real) / 2.0
     dvec = 1.0 - identity_fidelity_coefficients(problem.model)
-    f_model = 1.0 - float(dvec @ np.clip(res.x, 0.0, None))
-    return _finish(problem, res.x, f_target, f_model, True, res.iterations, 0)
+    probs, f_model = _honest_probs(res.x, dvec, f_target)
+    return _finish(problem, probs, f_target, f_model, True, res.iterations, 0)
 
 
 @lru_cache(maxsize=None)
@@ -365,7 +405,7 @@ def solve_batch(
             problem = ApproximationProblem(target, model, constraint, kraus)
             try:
                 results.append(solve(problem, restarts=restarts, seed=seed))
-            except Exception as exc:  # collected, batch continues
+            except (ValueError, SolverError) as exc:  # collected, batch continues
                 n = len(enumerate_generators(model))
                 results.append(
                     ApproximationResult(

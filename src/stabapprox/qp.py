@@ -1,10 +1,27 @@
 """Primal active-set solver for small dense least-squares QPs.
 
-Minimizes ||M x - w||^2 subject to G x >= h.  The Hessian 2 M^T M may be
-singular; equality-constrained subproblems are solved as least-squares
-problems in the null space of the working set, which keeps every iterate
-well defined and certifies global optimality (the problem is convex) via
-the KKT residual.
+Minimizes ||M x - w||^2 subject to G x >= h, following the primal
+active-set method of Nocedal & Wright, *Numerical Optimization*, 2nd ed.,
+ch. 16.
+
+A row of G with a single nonzero entry is a variable bound; every other
+row is a general row.  The working set holds bound rows, each of which
+fixes its variable at the bound, and general rows, which are held with
+equality.  Each iteration solves one least-squares system, the KKT system
+of the equality-constrained step over the free variables F,
+
+    [ M_F^T M_F   A^T ] [ d_F ]   [ M_F^T (w - M x) ]
+    [     A        0  ] [ nu  ] = [        0        ],
+
+where A holds the working general rows restricted to F.  The Gram matrix
+M^T M may be singular, so the system is solved with np.linalg.lstsq; any
+solution gives a minimizing step along the working set.  A nonzero step is
+cut at the first blocking row, which joins the working set.  At a zero step
+the multipliers decide: the general rows' are -2 nu, the bound rows'
+follow from the gradient.  The row with the most negative multiplier
+leaves the working set; when none is negative, x is a KKT point and hence
+a global minimum (the problem is convex), which the KKT residual
+certifies.
 """
 
 from __future__ import annotations
@@ -12,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 
 @dataclass(frozen=True)
@@ -22,16 +38,6 @@ class QPResult:
     converged: bool
     kkt_residual: float
     active: tuple[int, ...]
-
-
-def _independent_rows(rows: np.ndarray, candidates: list[int]) -> list[int]:
-    """Greedy subset of candidate row indices with full row rank."""
-    chosen: list[int] = []
-    for i in candidates:
-        trial = rows[chosen + [i]]
-        if np.linalg.matrix_rank(trial, tol=1e-12) == len(chosen) + 1:
-            chosen.append(i)
-    return chosen
 
 
 def kkt_residual(m, w, gmat, h, x, active: list[int]) -> float:
@@ -50,9 +56,12 @@ def kkt_residual(m, w, gmat, h, x, active: list[int]) -> float:
 def solve_lsq_qp(m, w, gmat, h, x0, max_iter: int = 400) -> QPResult:
     """Active-set minimization of ||M x - w||^2 over {x : G x >= h}.
 
-    x0 must be feasible.  Blocking constraints always enter the working set
+    x0 must be feasible.  A blocking row always enters the working set
     linearly independent of it (g_i d < 0 while G_W d = 0), so only the
-    initial working set needs an explicit independence filter.
+    initial working set is filtered.  Tight bound rows of distinct
+    variables are independent; a tight general row is kept only if it
+    raises the rank of the working general rows restricted to the free
+    variables.
     """
     m = np.asarray(m, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -64,46 +73,86 @@ def solve_lsq_qp(m, w, gmat, h, x0, max_iter: int = 400) -> QPResult:
     slack = gmat @ x - h
     if float(slack.min(initial=0.0)) < -1e-9:
         raise ValueError(f"infeasible starting point, worst slack {slack.min():.3e}")
-    tight = [i for i in range(len(h)) if slack[i] <= 1e-12]
-    work = _independent_rows(gmat, tight)
+    nonzero = gmat != 0.0
+    bound_var = np.where(nonzero.sum(axis=1) == 1, np.argmax(nonzero, axis=1), -1)
+    gram = m.T @ m
+    mtw = m.T @ w
+
+    # fixed_by[j]: the working bound row that fixes variable j, or -1
+    fixed_by = np.full(n, -1)
+    work = np.zeros(len(h), dtype=bool)
+    general: list[int] = []
+
+    def enter(i: int) -> None:
+        j = bound_var[i]
+        if j >= 0:
+            fixed_by[j] = i
+            x[j] = h[i] / gmat[i, j]
+        else:
+            general.append(i)
+        work[i] = True
+
+    tight = np.flatnonzero(slack <= 1e-12)
+    for i in tight:
+        if bound_var[i] >= 0 and fixed_by[bound_var[i]] < 0:
+            enter(i)
+    free = fixed_by < 0
+    for i in tight:
+        if bound_var[i] < 0:
+            trial = gmat[general + [i]][:, free]
+            if np.linalg.matrix_rank(trial, tol=1e-12) == len(general) + 1:
+                enter(i)
 
     for it in range(1, max_iter + 1):
-        if work:
-            z = null_space(gmat[work], rcond=1e-12)
-        else:
-            z = np.eye(n)
-        if z.shape[1] == 0:
-            d = np.zeros(n)
-        else:
-            y, *_ = np.linalg.lstsq(m @ z, w - m @ x, rcond=None)
-            d = z @ y
+        free = np.flatnonzero(fixed_by < 0)
+        nf, ne = free.size, len(general)
+        a = gmat[general][:, free]
+        kkt = np.zeros((nf + ne, nf + ne))
+        kkt[:nf, :nf] = gram[free[:, None], free]
+        kkt[:nf, nf:] = a.T
+        kkt[nf:, :nf] = a
+        rhs = np.zeros(nf + ne)
+        rhs[:nf] = (mtw - gram @ x)[free]
+        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+        d = np.zeros(n)
+        d[free] = sol[:nf]
 
-        if float(np.max(np.abs(d), initial=0.0)) <= 1e-13 * max(1.0, float(np.max(np.abs(x)))):
-            grad = 2.0 * m.T @ (m @ x - w)
-            if not work:
-                return QPResult(x, it, True, kkt_residual(m, w, gmat, h, x, work), ())
-            lam, *_ = np.linalg.lstsq(gmat[work].T, grad, rcond=None)
-            tol = 1e-11 * max(1.0, float(np.max(np.abs(grad))))
-            if float(lam.min()) >= -tol:
+        if np.abs(d).max() <= 1e-13 * max(1.0, np.abs(x).max()):
+            if not work.any():
+                return QPResult(x, it, True, kkt_residual(m, w, gmat, h, x, []), ())
+            grad = 2.0 * (gram @ x - mtw)
+            lam_general = -2.0 * sol[nf:]
+            fixed = np.flatnonzero(fixed_by >= 0)
+            rows = fixed_by[fixed]
+            lam_bound = (grad[fixed] - lam_general @ gmat[general][:, fixed]) / gmat[rows, fixed]
+            lam = np.concatenate([lam_bound, lam_general])
+            tol = 1e-11 * max(1.0, np.abs(grad).max())
+            k = int(np.argmin(lam))
+            if float(lam[k]) >= -tol:
+                active = tuple(int(i) for i in np.flatnonzero(work))
                 return QPResult(
-                    x, it, True, kkt_residual(m, w, gmat, h, x, work), tuple(work)
+                    x, it, True, kkt_residual(m, w, gmat, h, x, list(active)), active
                 )
-            work.pop(int(np.argmin(lam)))
+            if k < len(rows):
+                fixed_by[fixed[k]] = -1
+                work[rows[k]] = False
+            else:
+                work[general.pop(k - len(rows))] = False
             continue
 
         gd = gmat @ d
-        slack = gmat @ x - h
+        candidates = np.flatnonzero(~work & (gd < -1e-14))
         alpha = 1.0
         blocker = None
-        for i in range(len(h)):
-            if i in work or gd[i] >= -1e-14:
-                continue
-            step = max(slack[i], 0.0) / (-gd[i])
-            if step < alpha:
-                alpha = step
-                blocker = i
-        x = x + alpha * d
-        if blocker is not None and alpha < 1.0:
-            work.append(blocker)
+        if candidates.size:
+            steps = np.maximum(gmat[candidates] @ x - h[candidates], 0.0) / -gd[candidates]
+            k = int(np.argmin(steps))
+            if steps[k] < 1.0:
+                alpha = float(steps[k])
+                blocker = int(candidates[k])
+        x += alpha * d
+        if blocker is not None:
+            enter(blocker)
 
-    return QPResult(x, max_iter, False, kkt_residual(m, w, gmat, h, x, work), tuple(work))
+    active = tuple(int(i) for i in np.flatnonzero(work))
+    return QPResult(x, max_iter, False, kkt_residual(m, w, gmat, h, x, list(active)), active)

@@ -1,3 +1,9 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -122,36 +128,38 @@ def test_model_hierarchy_monotonicity_on_random_targets():
 
 def test_average_path_multistart_agreement():
     # Convexity check: the active-set QP lands on the same distance from
-    # ten random feasible interior starting points.
+    # ten random feasible interior starting points (cmc: a rank-12 Gram
+    # matrix over 29 variables).
     target = sa.kraus_to_chi(sa.adc(sa.AdcSpec(0.37)))
-    m, w, gmat, h, x0 = sa.average_qp_data(target, "pmc")
-    baseline = None
     rng = np.random.default_rng(13)
-    n = len(x0)
-    for _ in range(10):
-        raw = rng.dirichlet(np.ones(n + 1))[:n]
-        # blend toward the all-X vertex until the fidelity row is satisfied
-        vertex = np.zeros(n)
-        vertex[0] = 1.0
-        for t in np.linspace(0.0, 1.0, 201):
-            start = (1 - t) * raw + t * vertex
-            if np.all(gmat @ start >= h - 1e-12):
-                break
-        res = solve_lsq_qp(m, w, gmat, h, start)
-        assert res.converged
-        distance = float(np.sum((m @ res.x - w) ** 2)) / 8.0
-        if baseline is None:
-            baseline = distance
-        assert distance == pytest.approx(baseline, abs=1e-8)
+    for model in ("pmc", "cmc"):
+        m, w, gmat, h, x0 = sa.average_qp_data(target, model)
+        baseline = None
+        n = len(x0)
+        for _ in range(10):
+            raw = rng.dirichlet(np.ones(n + 1))[:n]
+            # blend toward the all-X vertex until the fidelity row is satisfied
+            vertex = np.zeros(n)
+            vertex[0] = 1.0
+            for t in np.linspace(0.0, 1.0, 201):
+                start = (1 - t) * raw + t * vertex
+                if np.all(gmat @ start >= h - 1e-12):
+                    break
+            res = solve_lsq_qp(m, w, gmat, h, start)
+            assert res.converged
+            distance = float(np.sum((m @ res.x - w) ** 2)) / 8.0
+            if baseline is None:
+                baseline = distance
+            assert distance == pytest.approx(baseline, abs=1e-8)
 
 
 def test_qp_against_reference_solver():
     # Dual route for the average path: an off-the-shelf SLSQP run on the
     # same data must not find anything better.
     rng = np.random.default_rng(23)
-    targets = sa.random_chi_batch(sa.RandomChannelSpec(seed=41, count=5))
-    for target in targets:
-        m, w, gmat, h, x0 = sa.average_qp_data(target, "pmc")
+    targets = sa.random_chi_batch(sa.RandomChannelSpec(seed=41, count=20))
+    for target, model in itertools.product(targets, sa.MODELS):
+        m, w, gmat, h, x0 = sa.average_qp_data(target, model)
         mine = solve_lsq_qp(m, w, gmat, h, x0)
         assert mine.converged
         assert mine.kkt_residual <= 1e-9
@@ -169,6 +177,44 @@ def test_qp_against_reference_solver():
         )
         mine_val = float(np.sum((m @ mine.x - w) ** 2))
         assert mine_val <= ref.fun + 1e-9
+
+
+def test_average_results_are_honest_exactly():
+    # Honesty by construction: no roundoff slack on f_model <= f_target,
+    # and the probabilities stay on the simplex.
+    targets = sa.random_chi_batch(sa.RandomChannelSpec(seed=424242, count=50))
+    for result in sa.solve_batch(targets, list(sa.MODELS), "avg"):
+        assert result.error is None
+        assert result.f_model <= result.f_target
+        assert float(result.params.probs.sum()) <= 1.0
+
+
+def test_average_path_imports_no_scipy():
+    # The average path runs on numpy alone; scipy is loaded by the first
+    # worst-case solve.
+    script = """
+import sys
+import stabapprox as sa
+
+ch = sa.adc(sa.AdcSpec(0.25))
+chi = sa.kraus_to_chi(ch)
+for model in sa.MODELS:
+    sa.solve(sa.ApproximationProblem(chi, model, "avg"))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+result = sa.solve(sa.ApproximationProblem(chi, "pc", "worst", ch))
+print(repr(result.distance))
+"""
+    env_path = str(Path(sa.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": env_path},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) == pytest.approx(0.0189905, abs=1e-6)
 
 
 def test_solve_rejects_invalid_target():
@@ -195,6 +241,26 @@ def test_solve_batch_collects_errors_and_continues():
     assert np.isnan(results[0].distance)
     assert results[1].error is None
     assert results[1].distance == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "exc, collected",
+    [(TypeError("bug"), False), (np.linalg.LinAlgError("singular"), True)],
+    ids=["TypeError", "LinAlgError"],
+)
+def test_solve_batch_collects_only_typed_failures(monkeypatch, exc, collected):
+    # Input and solver failures are collected; anything else is a bug and
+    # surfaces.  numpy's LinAlgError is a ValueError.
+    def broken(problem, x0=None):
+        raise exc
+
+    monkeypatch.setattr(sa.approximate, "_solve_average", broken)
+    if collected:
+        [result] = sa.solve_batch([sa.identity_chi()], ["pc"])
+        assert result.error == str(exc) and not result.converged
+    else:
+        with pytest.raises(type(exc)):
+            sa.solve_batch([sa.identity_chi()], ["pc"])
 
 
 def test_extract_support_threshold_and_order():
