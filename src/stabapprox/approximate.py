@@ -6,21 +6,27 @@ constraint that the mixture's identity fidelity does not exceed the
 target's (the approximation never underestimates the error), plus the
 simplex bounds on the probabilities.
 
-Two constraint kinds are supported:
+Both constraint kinds reduce to the same convex QP: ||m p - w||^2 over the
+simplex with one linear honesty row.
 
-* "avg": the average fidelity is linear in the probabilities and the
-  process matrix is affine in them, so the problem is a convex QP solved
-  to global optimality with a dense active-set method.
-* "worst": the worst-case fidelity is a minimum of quadratics, hence
-  concave in the probabilities, and the feasible set is not convex.  A
-  sequential quadratic solver is run from the average-constraint solution
-  plus randomized feasible restarts, and the best feasible iterate wins.
+* "avg": the average fidelity is linear in the probabilities, so the
+  honesty row is sum_a (1 - c_a) p_a >= 1 - F_target and one QP gives the
+  global optimum.
+* "worst": for a fixed input Bloch vector r (the witness) the fidelity
+  integrand is linear in the probabilities, so honesty on r is the row
+  sum_a (1 - q_a(r)) p_a >= 1 - F_target, with q_a(r) the integrand of
+  generator a; the average row is the case r = 0.  The worst-case problem
+  is the minimum over unit r of that QP.  It is solved by alternating
+  descent from fixed start witnesses: p <- QP(r), then r <- the worst input
+  of p.  The previous p stays feasible for the new row, so the distance
+  never increases along a descent; the best descent wins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -44,20 +50,22 @@ from .metrics import (
 #: reporting the support of a solution.
 SUPPORT_THRESHOLD = 1e-6
 
-_FD_STEP = 1e-7  # central finite-difference step for worst-path gradients
 _HONESTY_MARGIN_MAX = 1e-12  # largest roundoff margin _honest_probs tries
+
+#: Fixed start witnesses of the worst-case descent: the 6 axis states and
+#: the 8 cube diagonals.  Clifford conjugation permutes this set (and moves
+#: the simplex-only start witness along with the target), so the answer is
+#: Clifford covariant.
+_START_WITNESSES = np.vstack(
+    [np.eye(3), -np.eye(3), np.array(list(product((1.0, -1.0), repeat=3))) / np.sqrt(3.0)]
+)
+_DESCENT_MAX_QPS = 200  # QPs per start before a descent is cut off
+_DESCENT_DISTANCE_STALL = 1e-15  # distance decrease of a stalled step
+_DESCENT_WITNESS_STALL = 1e-9  # witness move of a stalled step
 
 
 class SolverError(RuntimeError):
     """Raised when no feasible solution could be located."""
-
-
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first call.  Only the
-    worst-case path needs it, so the average path runs on numpy alone."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -109,11 +117,24 @@ def _vec_real(a: np.ndarray) -> np.ndarray:
     return np.concatenate([a.real.ravel(), a.imag.ravel()])
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @lru_cache(maxsize=None)
 def _model_matrix(model: str) -> np.ndarray:
     """Columns vec(chi_a - chi_I) of the affine map p -> chi(p) - chi_I."""
     deltas = generator_chis(model) - identity_chi().matrix
-    return np.stack([_vec_real(d) for d in deltas], axis=1)
+    return _read_only(np.stack([_vec_real(d) for d in deltas], axis=1))
+
+
+@lru_cache(maxsize=None)
+def _constraint_rows(model: str) -> np.ndarray:
+    """Rows p >= 0, -sum(p) >= -1 and the average honesty row 1 - c_a."""
+    n = len(enumerate_generators(model))
+    dvec = 1.0 - identity_fidelity_coefficients(model)
+    return _read_only(np.vstack([np.eye(n), -np.ones((1, n)), dvec]))
 
 
 def average_qp_data(target: ChiMatrix, model: str):
@@ -121,15 +142,17 @@ def average_qp_data(target: ChiMatrix, model: str):
 
     Objective ||m p - w||^2 equals 8 x the squared distance; the rows of
     gmat encode p >= 0, sum(p) <= 1 and the honesty constraint
-    sum_a (1 - c_a) p_a >= 1 - F_target.
+    sum_a (1 - c_a) p_a >= 1 - F_target.  m and gmat are shared per model
+    and read-only.
     """
-    n = len(enumerate_generators(model))
     m = _model_matrix(model)
+    gmat = _constraint_rows(model)
+    n = m.shape[1]
     w = _vec_real(target.matrix - identity_chi().matrix)
     f_target = float(target.matrix[0, 0].real) / 2.0
-    dvec = 1.0 - identity_fidelity_coefficients(model)
-    gmat = np.vstack([np.eye(n), -np.ones((1, n)), dvec])
-    h = np.concatenate([np.zeros(n), [-1.0], [1.0 - f_target]])
+    h = np.zeros(n + 2)
+    h[n] = -1.0
+    h[n + 1] = 1.0 - f_target
     x0 = np.zeros(n)
     if f_target < 1.0:
         x0[0] = 1.0 - f_target  # generator 0 is Pauli X with coefficient 0
@@ -166,30 +189,43 @@ def _finish(
     return replace(result, support=tuple(extract_support(result)))
 
 
-def _honest_probs(x: np.ndarray, dvec: np.ndarray, f_target: float):
+def _honest_probs(x: np.ndarray, fidelity, f_target: float):
     """(probs, f_model) from a QP solution, with probs >= 0, sum(probs) <= 1
-    and f_model = 1 - dvec @ probs <= f_target exactly in floating point.
+    and f_model = fidelity(probs)[0] <= f_target exactly in floating point.
+
+    fidelity(p) returns (F, a, F_a): the mixture's fidelity, and a generator
+    a whose fidelity F_a on the input that sets F is below F.  The blend
+    (1 - t) p + t e_a lowers F on that input to at most (1 - t) F + t F_a
+    and keeps sum(p) <= 1.
 
     The QP meets the simplex and honesty rows only to within roundoff.  For
     a margin delta (0 first, then doubling from machine epsilon) the
     solution is shrunk by 1 - delta toward the identity and then blended
-    toward the all-X vertex until f_model is f_target - delta.  Generator 0
-    is Pauli X, whose fidelity coefficient is 0 in every model, so the
-    blend (1 - t) p + t e_0 lowers f_model to (1 - t) f_model and keeps
-    sum(p) <= 1.  A one-for-one shift onto X alone would break sum(p) <= 1
-    where the simplex row is tight too.
+    toward e_a until F is f_target - delta.  A one-for-one shift onto a
+    alone would break sum(p) <= 1 where the simplex row is tight too.  Where
+    F_a is within the excess of f_target (a Pauli on a target of fidelity
+    0) the blend would have to reach e_a itself; there the identity's
+    weight moves onto a instead, which can lower F to F_a exactly, and
+    only if that fails is p replaced by e_a.
     """
     base = np.clip(x, 0.0, None)
     delta = 0.0
     while delta <= _HONESTY_MARGIN_MAX:
         probs = (1.0 - delta) * base
-        f_model = 1.0 - float(dvec @ probs)
+        f_model, a, f_a = fidelity(probs)
         excess = f_model - f_target + delta
         if excess > 0.0:
-            t = excess / f_model if f_model > excess else 1.0
-            probs *= 1.0 - t
-            probs[0] += t
-            f_model = 1.0 - float(dvec @ probs)
+            gap = f_model - f_a
+            if gap > excess:
+                t = excess / gap
+                probs *= 1.0 - t
+                probs[a] += t
+            elif f_model > f_target:
+                probs[a] += max(1.0 - float(probs.sum()), 0.0)
+                if fidelity(probs)[0] > f_target:
+                    probs = np.zeros_like(probs)
+                    probs[a] = 1.0
+            f_model = fidelity(probs)[0]
         if f_model <= f_target and float(probs.sum()) <= 1.0:
             return probs, f_model
         delta = max(2.0 * delta, np.finfo(float).eps)
@@ -198,18 +234,27 @@ def _honest_probs(x: np.ndarray, dvec: np.ndarray, f_target: float):
     )
 
 
-def _solve_average(problem: ApproximationProblem, x0=None) -> ApproximationResult:
+def _solve_qp(m, w, gmat, h, x0):
     from .qp import solve_lsq_qp
 
-    m, w, gmat, h, default_x0 = average_qp_data(problem.target, problem.model)
-    res = solve_lsq_qp(m, w, gmat, h, default_x0 if x0 is None else x0)
+    res = solve_lsq_qp(m, w, gmat, h, x0)
     if not res.converged:
         raise SolverError(
             f"active-set QP did not converge (kkt residual {res.kkt_residual:.3e})"
         )
+    return res
+
+
+def _solve_average(problem: ApproximationProblem, x0=None) -> ApproximationResult:
+    m, w, gmat, h, default_x0 = average_qp_data(problem.target, problem.model)
+    res = _solve_qp(m, w, gmat, h, default_x0 if x0 is None else x0)
     f_target = float(problem.target.matrix[0, 0].real) / 2.0
-    dvec = 1.0 - identity_fidelity_coefficients(problem.model)
-    probs, f_model = _honest_probs(res.x, dvec, f_target)
+    dvec = gmat[-1]
+
+    def fidelity(p):  # generator 0 is Pauli X, with coefficient 0
+        return 1.0 - float(dvec @ p), 0, 0.0
+
+    probs, f_model = _honest_probs(res.x, fidelity, f_target)
     return _finish(problem, probs, f_target, f_model, True, res.iterations, 0)
 
 
@@ -225,140 +270,86 @@ def _generator_quadratics(model: str):
     return np.stack(hs), np.stack(gs), np.array(cs)
 
 
-def _worst_fidelity_of_probs(model: str, p: np.ndarray) -> float:
-    """Worst-case identity fidelity of a mixture, as a function of the raw
-    probability vector (no validation: the finite-difference gradient
-    probes slightly outside the simplex)."""
+def _generator_fidelities(model: str, r: np.ndarray) -> np.ndarray:
+    """q_a(r): each generator's fidelity integrand on the input r."""
+    hs, gs, cs = _generator_quadratics(model)
+    return hs @ r @ r + 2.0 * (gs @ r) + cs
+
+
+def _worst_input(model: str, p: np.ndarray) -> tuple[float, np.ndarray]:
+    """(worst fidelity, witness Bloch vector) of the mixture with raw
+    probabilities p."""
     hs, gs, cs = _generator_quadratics(model)
     h = np.tensordot(p, hs, axes=1)
-    g = p @ gs
     c = 1.0 - float(p.sum()) + float(p @ cs)
-    return min_quadratic_form(h, g, c, domain="pure")[0]
+    return min_quadratic_form(h, p @ gs, c, domain="pure")
 
 
-def _feasible_blend(model: str, p: np.ndarray, f_cap: float) -> np.ndarray:
-    """Blend p toward the all-X point until the worst fidelity drops to
-    f_cap; the all-X channel has worst fidelity 0, so a blend always
-    exists."""
-    deep = np.zeros_like(p)
-    deep[0] = 1.0
-    if _worst_fidelity_of_probs(model, p) <= f_cap:
-        return p
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        q = (1.0 - mid) * p + mid * deep
-        if _worst_fidelity_of_probs(model, q) <= f_cap:
-            hi = mid
-        else:
-            lo = mid
-    return (1.0 - hi) * p + hi * deep
-
-
-def _solve_worst(
-    problem: ApproximationProblem, restarts: int, seed: int
-) -> ApproximationResult:
+def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
     if problem.target_kraus is None:
         raise ValueError("the worst-case constraint needs the target in Kraus form")
     model = problem.model
-    n = len(enumerate_generators(model))
-    m, w, *_ = average_qp_data(problem.target, model)
+    m, w, avg_rows, h, _ = average_qp_data(problem.target, model)
     f_target = worst_fidelity(I2, problem.target_kraus)
+    n = m.shape[1]
+    h[-1] = 1.0 - f_target
 
-    def objective(p):
-        r = m @ p - w
-        return float(r @ r) / 8.0
+    def fidelity(p):
+        f, r = _worst_input(model, p)
+        q = _generator_fidelities(model, r)
+        a = int(np.argmin(q))
+        return f, a, float(q[a])
 
-    def objective_grad(p):
-        return 2.0 * (m.T @ (m @ p - w)) / 8.0
+    p = _solve_qp(m, w, avg_rows[:-1], h[:-1], np.zeros(n)).x
+    f_free, r_free = _worst_input(model, p)
+    if f_free <= f_target:
+        probs, f_model = _honest_probs(p, fidelity, f_target)
+        return _finish(problem, probs, f_target, f_model, True, 1, 0)
 
-    def constraint_fun(p):
-        return f_target - _worst_fidelity_of_probs(model, p)
-
-    def constraint_grad(p):
-        out = np.empty(n)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = _FD_STEP
-            out[i] = (
-                _worst_fidelity_of_probs(model, p + e)
-                - _worst_fidelity_of_probs(model, p - e)
-            ) / (2.0 * _FD_STEP)
-        return -out
-
-    seeds: list[np.ndarray] = []
-    avg = _solve_average(replace(problem, constraint="avg"))
-    seeds.append(_feasible_blend(model, np.array(avg.params.probs), f_target))
-    if model in ("cc", "cmc"):
-        # the small-model optimum embedded in the larger catalog: the first
-        # generators of cc/cmc are the pc ones, translations come last
-        sub = "pc" if model == "cc" else "pmc"
-        sub_res = solve(replace(problem, model=sub), restarts=max(4, restarts // 2), seed=seed)
-        embedded = np.zeros(n)
-        sub_probs = np.array(sub_res.params.probs)
-        embedded[:3] = sub_probs[:3]
-        if sub == "pmc":
-            embedded[-6:] = sub_probs[3:]
-        seeds.append(_feasible_blend(model, embedded, f_target))
-    deep = np.zeros(n)
-    deep[0] = min(1.0, max(1.0 - f_target, 0.25))
-    seeds.append(_feasible_blend(model, deep, f_target))
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        p = rng.dirichlet(np.ones(n + 1))[:n]
-        seeds.append(_feasible_blend(model, p, f_target))
-
-    constraints = [
-        {"type": "ineq", "fun": lambda p: 1.0 - float(p.sum()), "jac": lambda p: -np.ones(n)},
-        {"type": "ineq", "fun": constraint_fun, "jac": constraint_grad},
-    ]
+    gmat = np.array(avg_rows)
+    starts = np.vstack([r_free, _START_WITNESSES])
     best = None
-    best_nit = 0
-    nearest_violation = np.inf
-    for p0 in seeds:
-        res = minimize(
-            objective,
-            p0,
-            jac=objective_grad,
-            method="SLSQP",
-            bounds=[(0.0, 1.0)] * n,
-            constraints=constraints,
-            options={"maxiter": 400, "ftol": 1e-12},
-        )
-        p = np.clip(res.x, 0.0, 1.0)
-        if float(p.sum()) > 1.0:
-            p = p / float(p.sum())
-        violation = -constraint_fun(p)
-        if violation > 1e-9:
-            nearest_violation = min(nearest_violation, violation)
-            continue
-        val = objective(p)
-        if best is None or val < best[0]:
-            best = (val, p)
-            best_nit = int(res.nit)
+    for r in starts:
+        gmat[-1] = 1.0 - _generator_fidelities(model, r)
+        a = int(np.argmax(gmat[-1]))
+        if gmat[-1, a] < h[-1]:
+            continue  # no mixture is honest on this input
+        p = np.zeros(n)
+        p[a] = h[-1] / gmat[-1, a]
+        prev = np.inf
+        for qps in range(1, _DESCENT_MAX_QPS + 1):
+            p = _solve_qp(m, w, gmat, h, p).x
+            value = float(np.sum((m @ p - w) ** 2)) / 8.0
+            _, r_next = _worst_input(model, p)
+            converged = (
+                prev - value <= _DESCENT_DISTANCE_STALL
+                and float(np.abs(r_next - r).max()) <= _DESCENT_WITNESS_STALL
+            )
+            r, prev = r_next, value
+            gmat[-1] = 1.0 - _generator_fidelities(model, r)
+            if converged:
+                break
+        if best is None or value < best[0]:
+            best = (value, p, qps, converged)
     if best is None:
-        raise SolverError(
-            "no feasible iterate found under the worst-case constraint "
-            f"(best iterate violates it by {nearest_violation:.3e})"
-        )
+        raise SolverError("no start witness admits an honest mixture")
 
-    p = best[1]
-    f_model = _worst_fidelity_of_probs(model, p)
-    if f_model > f_target + 1e-10:
-        p = _feasible_blend(model, p, f_target + 1e-12)
-        f_model = _worst_fidelity_of_probs(model, p)
-    return _finish(problem, p, f_target, f_model, True, best_nit, len(seeds))
+    _, p, qps, converged = best
+    probs, f_model = _honest_probs(p, fidelity, f_target)
+    return _finish(problem, probs, f_target, f_model, converged, qps, len(starts))
 
 
-def solve(
-    problem: ApproximationProblem, *, restarts: int = 20, seed: int = 0
-) -> ApproximationResult:
+def solve(problem: ApproximationProblem) -> ApproximationResult:
     """Best honest approximation of the target by the requested mixture.
 
     The average path returns the global optimum of the underlying convex
-    QP.  The worst-case path reports the best feasible local solution over
-    the warm start plus `restarts` randomized feasible starting points;
-    identical inputs always produce identical output.
+    QP.  The worst-case path returns the best of the alternating descents
+    over the witness input from a fixed set of start witnesses: its
+    `iterations` are the QPs of the winning descent, `restarts_used` the
+    number of start witnesses (0 when the simplex-only optimum is already
+    honest), and `converged` says whether the winning descent stalled
+    before its QP budget ran out.  Both paths are deterministic and report
+    f_model <= f_target exactly.
     """
     if problem.constraint not in CONSTRAINT_KINDS:
         raise ValueError(
@@ -373,16 +364,11 @@ def solve(
         )
     if problem.constraint == "avg":
         return _solve_average(problem)
-    return _solve_worst(problem, restarts, seed)
+    return _solve_worst(problem)
 
 
 def solve_batch(
-    targets: list[ChiMatrix],
-    models: list[str],
-    constraint: str = "avg",
-    *,
-    restarts: int = 20,
-    seed: int = 0,
+    targets: list[ChiMatrix], models: list[str], constraint: str = "avg"
 ) -> list[ApproximationResult]:
     """Solve every (target, model) pair, target-major, collecting per-item
     failures as results with error set instead of aborting the batch.
@@ -404,7 +390,7 @@ def solve_batch(
         for model in models:
             problem = ApproximationProblem(target, model, constraint, kraus)
             try:
-                results.append(solve(problem, restarts=restarts, seed=seed))
+                results.append(solve(problem))
             except (ValueError, SolverError) as exc:  # collected, batch continues
                 n = len(enumerate_generators(model))
                 results.append(
