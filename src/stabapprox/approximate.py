@@ -168,10 +168,6 @@ def _finish(
     iterations: int,
     restarts_used: int,
 ) -> ApproximationResult:
-    probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
-    total = float(probs.sum())
-    if total > 1.0:
-        probs = probs / total  # shave roundoff overshoot of the simplex
     params = MixtureParams(problem.model, probs)
     distance = hs_distance(problem.target, mixture_chi(params))
     result = ApproximationResult(
@@ -336,6 +332,7 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
 
     _, p, qps, converged = best
     probs, f_model = _honest_probs(p, fidelity, f_target)
+    f_model = min(max(f_model, 0.0), 1.0)  # as worst_fidelity clips f_target
     return _finish(problem, probs, f_target, f_model, converged, qps, len(starts))
 
 
@@ -367,45 +364,59 @@ def solve(problem: ApproximationProblem) -> ApproximationResult:
     return _solve_worst(problem)
 
 
+def target_forms(
+    target: ChiMatrix | KrausChannel, constraint: str = "avg"
+) -> tuple[ChiMatrix, KrausChannel | None]:
+    """(process matrix, Kraus form or None) of a target given either way.
+
+    A Kraus target keeps its own decomposition.  A process matrix is given
+    the canonical decomposition of chi_to_kraus when the worst case needs
+    one (the fidelities do not depend on the choice of decomposition).
+    """
+    from .channels import chi_to_kraus, kraus_to_chi
+
+    if isinstance(target, KrausChannel):
+        return kraus_to_chi(target), target
+    return target, chi_to_kraus(target) if constraint == "worst" else None
+
+
+def _failure(model: str, constraint: str, exc: Exception) -> ApproximationResult:
+    n = len(enumerate_generators(model))
+    return ApproximationResult(
+        model=model,
+        constraint=constraint,
+        params=MixtureParams(model, np.zeros(n)),
+        distance=float("nan"),
+        f_target=float("nan"),
+        f_model=float("nan"),
+        support=(),
+        converged=False,
+        iterations=0,
+        restarts_used=0,
+        error=str(exc),
+    )
+
+
 def solve_batch(
-    targets: list[ChiMatrix], models: list[str], constraint: str = "avg"
+    targets: list[ChiMatrix | KrausChannel], models: list[str], constraint: str = "avg"
 ) -> list[ApproximationResult]:
     """Solve every (target, model) pair, target-major, collecting per-item
     failures as results with error set instead of aborting the batch.
 
-    For the worst-case constraint each target is given the canonical Kraus
-    decomposition of its process matrix (the fidelities do not depend on
-    the choice of decomposition).
+    Targets are process matrices or Kraus channels, put in both forms by
+    target_forms.  A target whose forms cannot be built fails for every
+    model with that error.
     """
-    from .channels import chi_to_kraus
-
     results: list[ApproximationResult] = []
     for target in targets:
-        kraus = None
-        if constraint == "worst":
-            try:
-                kraus = chi_to_kraus(target)
-            except ValueError:
-                kraus = None
+        try:
+            chi, kraus = target_forms(target, constraint)
+        except ValueError as exc:  # collected for each model, batch continues
+            results += [_failure(model, constraint, exc) for model in models]
+            continue
         for model in models:
-            problem = ApproximationProblem(target, model, constraint, kraus)
             try:
-                results.append(solve(problem))
+                results.append(solve(ApproximationProblem(chi, model, constraint, kraus)))
             except (ValueError, SolverError) as exc:  # collected, batch continues
-                n = len(enumerate_generators(model))
-                results.append(
-                    ApproximationResult(
-                        model=model,
-                        constraint=constraint,
-                        params=MixtureParams(model, np.zeros(n)),
-                        distance=float("nan"),
-                        f_target=float("nan"),
-                        f_model=float("nan"),
-                        support=(),
-                        converged=False,
-                        iterations=0,
-                        restarts_used=0,
-                        error=str(exc),
-                    )
-                )
+                results.append(_failure(model, constraint, exc))
     return results

@@ -7,6 +7,10 @@ Subcommands
     bloch-section  y=0 cross-section of the Bloch ball through target/model
     validate       CPTP constraint report for a process-matrix JSON file
 
+`sweep` and `random` build all their targets first and solve them in one
+solve_batch call.  If any item failed they raise a SolverError with the
+first failure's message (exit 3) before writing anything.
+
 All run records share one CSV schema (columns in fixed order):
     target_kind, param_gamma, param_phi, param_p, model, constraint,
     distance, f_target, f_model, support, converged, restarts_used, seed,
@@ -31,13 +35,20 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .approximate import ApproximationProblem, ApproximationResult, SolverError, solve
+from .approximate import (
+    ApproximationProblem,
+    ApproximationResult,
+    SolverError,
+    solve,
+    solve_batch,
+    target_forms,
+)
 from .catalog import MODELS, MixtureParams, build_mixture
-from .channels import ChiMatrix, bloch_image, chi_to_kraus, identity_chi, validate_cptp
+from .channels import ChiMatrix, KrausChannel, bloch_image, identity_chi, validate_cptp
 from .metrics import hs_distance
 from .targets import AdcSpec, GenerationError, PolSpec, adc, pol_xy, random_chi
 
@@ -109,24 +120,6 @@ class RunRecord:
             "" if self.seed is None else str(self.seed),
             "" if self.channel_index is None else str(self.channel_index),
         ]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "target_kind": self.target_kind,
-            "param_gamma": self.param_gamma,
-            "param_phi": self.param_phi,
-            "param_p": self.param_p,
-            "model": self.model,
-            "constraint": self.constraint,
-            "distance": self.distance,
-            "f_target": self.f_target,
-            "f_model": self.f_model,
-            "support": self.support,
-            "converged": self.converged,
-            "restarts_used": self.restarts_used,
-            "seed": self.seed,
-            "channel_index": self.channel_index,
-        }
 
 
 def parse_csv_row(row: list[str]) -> RunRecord:
@@ -216,27 +209,21 @@ def save_chi_file(chi: ChiMatrix, path: str) -> None:
         fh.write("\n")
 
 
-def _build_target(args) -> tuple[str, ChiMatrix, object | None, dict]:
-    """Returns (kind, chi, kraus_or_None, parameter dict) for --target."""
-    from .channels import kraus_to_chi
-
+def _build_target(args) -> tuple[str, ChiMatrix | KrausChannel, dict]:
+    """Returns (kind, target, parameter dict) for --target."""
     if args.target == "adc":
         if args.gamma is None:
             raise ValueError("--target adc needs --gamma")
-        ch = adc(AdcSpec(args.gamma))
-        return "adc", kraus_to_chi(ch), ch, {"gamma": args.gamma}
+        return "adc", adc(AdcSpec(args.gamma)), {"gamma": args.gamma}
     if args.target == "pol":
         if args.phi is None or args.p is None:
             raise ValueError("--target pol needs --phi and --p")
         phi = math.radians(args.phi) if args.degrees else args.phi
-        ch = pol_xy(PolSpec(phi, args.p))
-        return "pol", kraus_to_chi(ch), ch, {"phi": phi, "p": args.p}
+        return "pol", pol_xy(PolSpec(phi, args.p)), {"phi": phi, "p": args.p}
     if args.target == "file":
         if args.file is None:
             raise ValueError("--target file needs --file")
-        chi = load_chi_file(args.file)
-        kraus = chi_to_kraus(chi) if args.constraint == "worst" else None
-        return "file", chi, kraus, {}
+        return "file", load_chi_file(args.file), {}
     raise ValueError(f"unknown target {args.target!r}")
 
 
@@ -251,18 +238,12 @@ def _models_arg(value: str) -> list[str]:
 
 
 def cmd_approx(args) -> int:
-    kind, chi, kraus, params = _build_target(args)
-    problem = ApproximationProblem(chi, args.model, args.constraint, kraus)
-    result = solve(problem)
-    record = _record_from_result(
-        result,
-        kind,
-        gamma=params.get("gamma"),
-        phi=params.get("phi"),
-        p=params.get("p"),
-    )
+    kind, target, params = _build_target(args)
+    chi, kraus = target_forms(target, args.constraint)
+    result = solve(ApproximationProblem(chi, args.model, args.constraint, kraus))
+    record = _record_from_result(result, kind, **params)
     if args.out == "json":
-        json.dump(record.to_json_obj(), sys.stdout, indent=2)
+        json.dump(asdict(record), sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
         writer = _csv_writer(sys.stdout)
@@ -271,31 +252,37 @@ def cmd_approx(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    from .channels import kraus_to_chi
+def _raise_first_error(results: list[ApproximationResult]) -> None:
+    for result in results:
+        if result.error is not None:
+            raise SolverError(result.error)
 
+
+def cmd_sweep(args) -> int:
     lo, hi = args.min, args.max
     if args.target == "pol" and args.degrees:
         lo, hi = math.radians(lo), math.radians(hi)
     grid = np.linspace(lo, hi, args.steps)
+    if args.target == "adc":
+        targets = [adc(AdcSpec(value)) for value in grid]
+        params = [{"gamma": float(value)} for value in grid]
+    else:
+        targets = [pol_xy(PolSpec(value, args.p)) for value in grid]
+        params = [{"phi": float(value), "p": args.p} for value in grid]
+    results = solve_batch(targets, args.model, args.constraint)
+    _raise_first_error(results)
     writer = _csv_writer(sys.stdout)
     writer.writerow(CSV_COLUMNS)
-    for value in grid:
-        if args.target == "adc":
-            ch = adc(AdcSpec(value))
-            params = {"gamma": float(value)}
-        else:
-            ch = pol_xy(PolSpec(value, args.p))
-            params = {"phi": float(value), "p": args.p}
-        chi = kraus_to_chi(ch)
-        for model in args.model:
-            result = solve(ApproximationProblem(chi, model, args.constraint, ch))
-            record = _record_from_result(result, args.target, **params)
-            writer.writerow(record.to_csv_row())
+    for k, result in enumerate(results):
+        record = _record_from_result(result, args.target, **params[k // len(args.model)])
+        writer.writerow(record.to_csv_row())
     return 0
 
 
-def _summary(distances: dict[str, list[float]]) -> dict:
+def _summary(rows: list[RunRecord]) -> dict:
+    distances: dict[str, list[float]] = {}
+    for record in rows:
+        distances.setdefault(record.model, []).append(record.distance)
     out = {}
     for model, values in distances.items():
         arr = np.array(values)
@@ -310,15 +297,13 @@ def _summary(distances: dict[str, list[float]]) -> dict:
 
 
 def cmd_random(args) -> int:
+    chis = [random_chi(np.random.default_rng(args.seed + i)) for i in range(args.count)]
+    results = solve_batch(chis, MODELS, args.constraint)
+    _raise_first_error(results)
     identity = identity_chi()
     rows: list[RunRecord] = []
-    distances: dict[str, list[float]] = {m: [] for m in ("identity",) + MODELS}
-    for index in range(args.count):
-        rng = np.random.default_rng(args.seed + index)
-        chi = random_chi(rng)
-        kraus = chi_to_kraus(chi) if args.constraint == "worst" else None
-        f_target = float(chi.matrix[0, 0].real) / 2.0
-        d_identity = hs_distance(chi, identity)
+    for index, chi in enumerate(chis):
+        solved = results[index * len(MODELS) : (index + 1) * len(MODELS)]
         rows.append(
             RunRecord(
                 target_kind="random",
@@ -327,8 +312,8 @@ def cmd_random(args) -> int:
                 param_p=None,
                 model="identity",
                 constraint=args.constraint,
-                distance=d_identity,
-                f_target=f_target,
+                distance=hs_distance(chi, identity),
+                f_target=solved[0].f_target,
                 f_model=1.0,
                 support="",
                 converged=True,
@@ -337,19 +322,14 @@ def cmd_random(args) -> int:
                 channel_index=index,
             )
         )
-        distances["identity"].append(d_identity)
-        for model in MODELS:
-            result = solve(ApproximationProblem(chi, model, args.constraint, kraus))
-            rows.append(
-                _record_from_result(
-                    result, "random", seed=args.seed, channel_index=index
-                )
-            )
-            distances[model].append(result.distance)
-    summary = _summary(distances)
+        rows += [
+            _record_from_result(r, "random", seed=args.seed, channel_index=index)
+            for r in solved
+        ]
+    summary = _summary(rows)
     if args.out == "json":
         json.dump(
-            {"records": [r.to_json_obj() for r in rows], "summary": summary},
+            {"records": [asdict(r) for r in rows], "summary": summary},
             sys.stdout,
             indent=2,
         )
@@ -365,11 +345,9 @@ def cmd_random(args) -> int:
 
 
 def cmd_bloch_section(args) -> int:
-    kind, chi, kraus, _params = _build_target(args)
-    if kraus is None:
-        kraus = chi_to_kraus(chi)
-    problem = ApproximationProblem(chi, args.model, args.constraint, kraus)
-    result = solve(problem)
+    _kind, target, _params = _build_target(args)
+    chi, kraus = target_forms(target, "worst")  # the section maps through Kraus form
+    result = solve(ApproximationProblem(chi, args.model, args.constraint, kraus))
     model_channel = build_mixture(MixtureParams(args.model, result.params.probs))
     writer = _csv_writer(sys.stdout)
     writer.writerow(BLOCH_COLUMNS)
@@ -472,7 +450,7 @@ def main(argv=None) -> int:
         parser.error("--points must be >= 8")
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -365,6 +365,47 @@ def test_solve_batch_collects_only_typed_failures(monkeypatch, exc, collected):
             sa.solve_batch([sa.identity_chi()], ["pc"])
 
 
+def test_solve_batch_reports_kraus_conversion_failure(monkeypatch):
+    # The collected error is chi_to_kraus's own, not a later "needs the
+    # target in Kraus form".
+    def broken(chi, cutoff=1e-12):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(sa.channels, "chi_to_kraus", broken)
+    results = sa.solve_batch([sa.identity_chi()], ["pc", "cc"], "worst")
+    assert [r.model for r in results] == ["pc", "cc"]
+    for result in results:
+        assert "boom" in result.error and not result.converged
+
+
+def test_solve_batch_kraus_target_matches_process_matrix():
+    channels = [sa.adc(sa.AdcSpec(0.3)), sa.pol_xy(sa.PolSpec(np.pi / 7, 0.1))]
+    from_kraus = sa.solve_batch(channels, list(sa.MODELS), "avg")
+    from_chi = sa.solve_batch([sa.kraus_to_chi(ch) for ch in channels], list(sa.MODELS), "avg")
+    for a, b in zip(from_kraus, from_chi):
+        assert a.error is None and b.error is None
+        assert (a.model, a.distance, a.f_target, a.f_model) == (
+            b.model, b.distance, b.f_target, b.f_model
+        )
+        assert np.array_equal(a.params.probs, b.params.probs)
+
+
+def test_solve_batch_worst_uses_native_kraus_form():
+    channels = [sa.adc(sa.AdcSpec(0.3)), sa.pol_xy(sa.PolSpec(np.pi / 7, 0.1))]
+    results = sa.solve_batch(channels, ["pc"], "worst")
+    for ch, result in zip(channels, results):
+        assert result.error is None
+        assert result.f_target == sa.worst_fidelity(np.eye(2), ch)
+
+
+@pytest.mark.parametrize("model", sa.MODELS)
+def test_worst_fidelity_of_full_damping_is_not_negative(model):
+    # At gamma = 1 the target's worst fidelity is 0; the model's is clipped
+    # to [0, 1] like the target's, so roundoff cannot report it below 0.
+    result = sa.solve(adc_problem(1.0, model, "worst"))
+    assert 0.0 <= result.f_model <= result.f_target
+
+
 def test_extract_support_threshold_and_order():
     result = sa.solve(adc_problem(0.25, "pc"))
     support = sa.extract_support(result, threshold=0.0)

@@ -178,6 +178,45 @@ def test_random_csv_roundtrip_is_byte_identical(capsys):
     assert buf.getvalue() == out
 
 
+def test_random_identity_row_shares_f_target(capsys):
+    # The identity baseline row carries the same (worst-case) f_target as
+    # the model rows of its channel.
+    code, out, _ = run_cli(
+        capsys, ["random", "--count", "2", "--seed", "5", "--constraint", "worst"]
+    )
+    assert code == 0
+    f_targets = {}
+    for record in map(cli.parse_csv_row, read_rows(out)):
+        f_targets.setdefault(record.channel_index, set()).add(record.f_target)
+    assert sorted(f_targets) == [0, 1]
+    assert all(len(values) == 1 for values in f_targets.values())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--target", "adc", "--min", "0", "--max", "1", "--steps", "3"],
+        ["random", "--count", "2", "--seed", "1"],
+    ],
+    ids=["sweep", "random"],
+)
+def test_batch_failure_exits_3_without_output(capsys, monkeypatch, argv):
+    solve = sa.approximate.solve
+    calls = []
+
+    def fail_third(problem):
+        calls.append(problem)
+        if len(calls) == 3:
+            raise sa.SolverError("third solve failed")
+        return solve(problem)
+
+    monkeypatch.setattr(sa.approximate, "solve", fail_third)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and out == ""
+    assert "third solve failed" in err
+    assert len(calls) > 3  # the batch ran on past the failure
+
+
 def test_bloch_section_target_column(capsys):
     code, out, _ = run_cli(
         capsys,
