@@ -194,7 +194,7 @@ def identity_fidelity_coefficients(model: str, kind: str = "avg") -> np.ndarray:
 @dataclass(frozen=True)
 class MixtureParams:
     """Probabilities for the non-identity generators of one model, in
-    canonical order.  All entries must be >= 0 and sum to at most 1."""
+    canonical order.  All entries must be finite, >= 0 and sum to at most 1."""
 
     model: str
     probs: np.ndarray
@@ -206,6 +206,8 @@ class MixtureParams:
             raise ValueError(
                 f"model {self.model!r} takes {n} probabilities, got shape {probs.shape}"
             )
+        if not np.all(np.isfinite(probs)):
+            raise ValueError(f"non-finite probability: {probs}")
         if float(probs.min(initial=0.0)) < 0.0:
             raise ValueError(f"negative probability: {probs.min()}")
         if float(probs.sum()) > 1.0 + 1e-12:

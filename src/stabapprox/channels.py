@@ -213,9 +213,9 @@ def chi_to_kraus(chi: ChiMatrix, cutoff: float = 1e-12) -> KrausChannel:
     Eigendecomposes chi = sum_k lam_k v_k v_k^dag and returns the operators
     K_k = sqrt(lam_k) sum_m v_km B_m, dropping eigenvalues below cutoff.
     Fails (through KrausChannel validation) if chi is not trace preserving.
-    The fidelity functionals used in this package are invariant under the
-    Kraus unitary freedom, so any consumer of the result is insensitive to
-    this particular choice of decomposition.
+    The solver never needs it: every fidelity is read off the process
+    matrix, which does not depend on the choice of decomposition.  It
+    serves displays that apply a channel to states (bloch-section).
     """
     vals, vecs = np.linalg.eigh(chi.matrix)
     ops = []

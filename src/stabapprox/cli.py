@@ -19,7 +19,8 @@ Fields that do not apply are left empty.  Floats are serialized with
 repr so that parsing and re-serializing a stream is byte identical.
 
 A process-matrix JSON file holds 16 entries in row-major (I, X, Y, Z)
-order; each entry is either a number or a two-element [re, im] array.
+order; each entry is either a finite number or a two-element [re, im]
+array of them (JSON booleans are rejected).
 Generator labels in `support` strings follow the canonical order
 documented in stabapprox.catalog ("X", "S+z", "H(x,y)+", "F(+,-,+)",
 "T|0>", ...).
@@ -45,10 +46,10 @@ from .approximate import (
     SolverError,
     solve,
     solve_batch,
-    target_forms,
 )
 from .catalog import MODELS, MixtureParams, build_mixture
-from .channels import ChiMatrix, KrausChannel, bloch_image, identity_chi, validate_cptp
+from .channels import ChiMatrix, KrausChannel, bloch_image, chi_to_kraus, identity_chi
+from .channels import kraus_to_chi, validate_cptp
 from .metrics import hs_distance
 from .targets import AdcSpec, GenerationError, PolSpec, adc, pol_xy, random_chi
 
@@ -192,13 +193,13 @@ def load_chi_file(path: str) -> ChiMatrix:
     if not isinstance(data, list) or len(data) != 16:
         raise ValueError("process-matrix file must hold 16 row-major entries")
     entries = []
-    for item in data:
-        if isinstance(item, (int, float)):
-            entries.append(complex(item))
-        elif isinstance(item, list) and len(item) == 2:
-            entries.append(complex(item[0], item[1]))
-        else:
-            raise ValueError(f"bad matrix entry {item!r}; use a number or [re, im]")
+    for k, item in enumerate(data):
+        parts = item if isinstance(item, list) and len(item) == 2 else [item]
+        # type() rather than isinstance: JSON true is a bool, not a number
+        if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in parts):
+            at = f"({k // 4}, {k % 4})"
+            raise ValueError(f"bad matrix entry {at}: {item!r}; use a finite number or [re, im]")
+        entries.append(complex(*parts))
     return ChiMatrix(np.array(entries, dtype=complex).reshape(4, 4))
 
 
@@ -237,10 +238,14 @@ def _models_arg(value: str) -> list[str]:
     return models
 
 
+def _solve_target(target: ChiMatrix | KrausChannel, args) -> ApproximationResult:
+    chi = kraus_to_chi(target) if isinstance(target, KrausChannel) else target
+    return solve(ApproximationProblem(chi, args.model, args.constraint))
+
+
 def cmd_approx(args) -> int:
     kind, target, params = _build_target(args)
-    chi, kraus = target_forms(target, args.constraint)
-    result = solve(ApproximationProblem(chi, args.model, args.constraint, kraus))
+    result = _solve_target(target, args)
     record = _record_from_result(result, kind, **params)
     if args.out == "json":
         json.dump(asdict(record), sys.stdout, indent=2)
@@ -346,8 +351,8 @@ def cmd_random(args) -> int:
 
 def cmd_bloch_section(args) -> int:
     _kind, target, _params = _build_target(args)
-    chi, kraus = target_forms(target, "worst")  # the section maps through Kraus form
-    result = solve(ApproximationProblem(chi, args.model, args.constraint, kraus))
+    result = _solve_target(target, args)
+    kraus = target if isinstance(target, KrausChannel) else chi_to_kraus(target)
     model_channel = build_mixture(MixtureParams(args.model, result.params.probs))
     writer = _csv_writer(sys.stdout)
     writer.writerow(BLOCH_COLUMNS)

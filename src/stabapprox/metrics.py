@@ -1,18 +1,17 @@
 """Distance and fidelity functionals on one-qubit channels.
 
-Distances are taken between process matrices; fidelities are functionals
-of the Kraus operators.  For a Bloch-parametrized input state the fidelity
-integrand sum_i |Tr(V^dag K_i rho)|^2 is a convex quadratic form in the
-Bloch vector, so the inner minimization behind the worst-case fidelity is
-solved exactly (eigendecomposition plus a one-dimensional secular
-equation) rather than by sampling.
+Distances and fidelities are read off process matrices.  For an input
+state with Bloch vector r the fidelity integrand sum_i |Tr(V^dag K_i rho)|^2
+is a convex quadratic form in r, so the inner minimization behind the
+worst-case fidelity is solved exactly (eigendecomposition plus a
+one-dimensional secular equation) rather than by sampling.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channels import ATOL, X, Y, Z, ChiMatrix, KrausChannel
+from .channels import ATOL, ChiMatrix, KrausChannel, kraus_to_chi
 
 CONSTRAINT_KINDS = ("avg", "worst")
 
@@ -40,37 +39,39 @@ def _check_unitary(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def avg_fidelity(v: np.ndarray, ch: KrausChannel) -> float:
-    """Average fidelity (1/4) sum_i |Tr(V^dag K_i)|^2 of a channel against
-    a unitary V.  Equals 1 exactly when the channel applies V."""
-    v = _check_unitary(v)
-    vd = v.conj().T
-    total = sum(abs(np.trace(vd @ k)) ** 2 for k in ch.ops)
-    return float(min(max(total / 4.0, 0.0), 1.0))
+def chi_fidelity_quadratic(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(H, g, c) of the identity-fidelity integrand sum_i |Tr(K_i rho(r))|^2
+    = r.H.r + 2 g.r + c, for Hermitian process matrices chi (..., 4, 4).
+
+    In the basis B = (I, X, Y, Z)/sqrt(2), Tr(B_m rho(r)) = (1, r)_m/sqrt(2),
+    so the integrand is (1, r).Re(chi).(1, r)/2: H = Re chi[1:, 1:]/2,
+    g = Re chi[0, 1:]/2 and c = Re chi[0, 0]/2.
+    """
+    half = np.asarray(chi).real / 2.0
+    return half[..., 1:, 1:], half[..., 0, 1:], half[..., 0, 0]
 
 
 def fidelity_quadratic(
     v: np.ndarray, ch: KrausChannel
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Coefficients (H, g, c) of sum_i |Tr(V^dag K_i rho(r))|^2 as the
-    quadratic form r.H.r + 2 g.r + c in the Bloch vector r.
+    quadratic form r.H.r + 2 g.r + c in the Bloch vector r, read off the
+    process matrix of the operators V^dag K_i.
 
     H is real symmetric positive semidefinite and g lies in its range, so
     the form is bounded below and its constrained minima are well posed.
     """
-    v = _check_unitary(v)
-    vd = v.conj().T
-    h = np.zeros((3, 3))
-    g = np.zeros(3)
-    c = 0.0
-    for k in ch.ops:
-        vk = vd @ k
-        alpha = np.trace(vk) / 2.0
-        beta = np.array([np.trace(vk @ s) for s in (X, Y, Z)]) / 2.0
-        h += np.real(np.outer(beta, beta.conj()))
-        g += np.real(np.conj(alpha) * beta)
-        c += abs(alpha) ** 2
-    return (h + h.T) / 2.0, g, float(c)
+    vd = _check_unitary(v).conj().T
+    chi = kraus_to_chi(KrausChannel(tuple(vd @ k for k in ch.ops)))
+    h, g, c = chi_fidelity_quadratic(chi.matrix)
+    return h, g, float(c)
+
+
+def avg_fidelity(v: np.ndarray, ch: KrausChannel) -> float:
+    """Average fidelity (1/4) sum_i |Tr(V^dag K_i)|^2 of a channel against
+    a unitary V: the constant c of fidelity_quadratic, the integrand at the
+    maximally mixed input.  Equals 1 exactly when the channel applies V."""
+    return min(max(fidelity_quadratic(v, ch)[2], 0.0), 1.0)
 
 
 def _sphere_argmin(lam: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -101,6 +101,14 @@ def test_fidelity_coefficients():
         sa.identity_fidelity_coefficients("pc", kind="worst")
 
 
+@pytest.mark.parametrize("model", sa.MODELS)
+def test_fidelity_coefficients_agree_with_process_matrices(model):
+    # The catalog's exact coefficients are the constant term of each
+    # generator's integrand, Re chi_00 / 2.
+    from_chi = sa.generator_chis(model)[:, 0, 0].real / 2.0
+    assert np.allclose(sa.identity_fidelity_coefficients(model), from_chi, rtol=0, atol=1e-15)
+
+
 def test_mixture_params_validation():
     with pytest.raises(ValueError, match="negative"):
         sa.MixtureParams("pc", np.array([-0.1, 0.0, 0.0]))
@@ -108,6 +116,10 @@ def test_mixture_params_validation():
         sa.MixtureParams("pc", np.array([0.5, 0.4, 0.3]))
     with pytest.raises(ValueError, match="takes 3"):
         sa.MixtureParams("pc", np.zeros(4))
+    with pytest.raises(ValueError, match="non-finite"):
+        sa.MixtureParams("pc", np.array([np.nan, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        sa.MixtureParams("pc", np.array([0.1, np.inf, 0.0]))
 
 
 def test_zero_mixture_is_identity_channel():

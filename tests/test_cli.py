@@ -289,6 +289,21 @@ def test_validate_file_reports(tmp_path, capsys):
     assert {v["constraint"] for v in doc["violations"]} == {"positivity"}
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [True, [1.0, False], float("nan"), [1.0, float("inf")], 10**400],
+    ids=["bool", "bool-im", "nan", "inf-im", "huge-int"],
+)
+def test_chi_file_rejects_booleans_and_non_finite_entries(tmp_path, capsys, entry):
+    # JSON true would read as 1, NaN would reach the eigensolver and an
+    # integer beyond the float range would overflow.
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps([entry] + [0] * 15))
+    code, out, err = run_cli(capsys, ["validate", "--file", str(path)])
+    assert code == 2 and out == ""
+    assert "bad matrix entry (0, 0)" in err
+
+
 def test_approx_from_chi_file(tmp_path, capsys):
     path = tmp_path / "target.json"
     cli.save_chi_file(sa.kraus_to_chi(sa.adc(sa.AdcSpec(0.25))), str(path))

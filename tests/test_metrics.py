@@ -92,6 +92,42 @@ def test_avg_fidelity_equals_linear_form_for_unitary_mixtures(probs):
     )
 
 
+def random_channels(seed, count):
+    targets = sa.random_chi_batch(sa.RandomChannelSpec(seed=seed, count=count))
+    return [sa.chi_to_kraus(chi) for chi in targets]
+
+
+def test_chi_fidelity_quadratic_against_direct_traces():
+    # Independent oracle: sum_i |Tr(K_i rho(r))|^2 evaluated by plain
+    # matrix algebra on random channels and random pure inputs.
+    rng = np.random.default_rng(31)
+    for ch in random_channels(seed=33, count=6) + [sa.adc(sa.AdcSpec(0.4))]:
+        h, g, c = sa.chi_fidelity_quadratic(sa.kraus_to_chi(ch).matrix)
+        v = sa.haar_unitary(2, rng)
+        hv, gv, cv = sa.fidelity_quadratic(v, ch)
+        for _ in range(10):
+            r = rng.standard_normal(3)
+            r /= np.linalg.norm(r)
+            rho = sa.density_from_bloch(r)
+            direct = sum(abs(np.trace(k @ rho)) ** 2 for k in ch.ops)
+            assert r @ h @ r + 2 * g @ r + c == pytest.approx(direct, abs=1e-14)
+            direct_v = sum(abs(np.trace(v.conj().T @ k @ rho)) ** 2 for k in ch.ops)
+            assert r @ hv @ r + 2 * gv @ r + cv == pytest.approx(direct_v, abs=1e-14)
+
+
+def test_fidelities_are_invariant_under_kraus_unitary_freedom():
+    # K'_j = sum_i U_ji K_i is the same channel for any unitary U.
+    rng = np.random.default_rng(37)
+    for ch in random_channels(seed=39, count=5):
+        ops = np.array(ch.ops + (np.zeros((2, 2)),))  # one spare operator
+        u = sa.haar_unitary(len(ops), rng)
+        mixed = sa.KrausChannel(tuple(np.tensordot(u, ops, axes=1)))
+        for fidelity in (sa.avg_fidelity, sa.worst_fidelity):
+            assert fidelity(np.eye(2), mixed) == pytest.approx(
+                fidelity(np.eye(2), ch), abs=1e-12
+            )
+
+
 def test_worst_fidelity_identity_channel():
     assert sa.worst_fidelity(np.eye(2), sa.identity_channel()) == pytest.approx(1.0, abs=1e-12)
 
