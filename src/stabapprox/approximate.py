@@ -21,8 +21,7 @@ simplex with one linear honesty row.
   of p.  The previous p stays feasible for the new row, so the distance
   never increases along a descent; the best descent wins.
 
-The target enters only through its process matrix: every integrand is read
-off one (chi_fidelity_quadratic), so no Kraus decomposition can matter.
+The target enters only through its process matrix (chi_fidelity_quadratic).
 """
 
 from __future__ import annotations
@@ -41,7 +40,13 @@ from .catalog import (
     mixture_chi,
 )
 from .channels import ChiMatrix, KrausChannel, identity_chi, kraus_to_chi, validate_cptp
-from .metrics import CONSTRAINT_KINDS, chi_fidelity_quadratic, hs_distance, min_quadratic_form
+from .metrics import (
+    CONSTRAINT_KINDS,
+    chi_fidelity_quadratic,
+    hs_distance,
+    min_quadratic_form,
+    worst_of_quadratic,
+)
 
 #: Probabilities below this threshold are treated as numerically zero when
 #: reporting the support of a solution.
@@ -253,12 +258,9 @@ def _solve_average(problem: ApproximationProblem) -> ApproximationResult:
 
 @lru_cache(maxsize=None)
 def _generator_quadratics(model: str):
-    """Per-generator (H, g, c) pieces of the identity-fidelity integrand.
-
-    The generators' process matrices lie on Z[i]/2; rounding to it drops the
-    ulp noise of their Kraus route (cos(pi/2) != 0), so each integrand
-    vanishes exactly where it should, as exact honesty at F_target = 0 needs.
-    """
+    """Per-generator (H, g, c) of the identity-fidelity integrand, read off the
+    process matrices rounded onto Z[i]/2, where they lie: without the ulps of
+    their Kraus route each vanishes exactly where honesty at F_target = 0 needs."""
     exact = np.round(2.0 * generator_chis(model)) / 2.0
     return tuple(_read_only(a) for a in chi_fidelity_quadratic(exact))
 
@@ -281,8 +283,7 @@ def _worst_input(model: str, p: np.ndarray) -> tuple[float, np.ndarray]:
 def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
     model = problem.model
     m, w, avg_rows, h, _ = average_qp_data(problem.target, model)
-    h_t, g_t, c_t = chi_fidelity_quadratic(problem.target.matrix)
-    f_target = min(max(min_quadratic_form(h_t, g_t, float(c_t), domain="pure")[0], 0.0), 1.0)
+    f_target = worst_of_quadratic(*chi_fidelity_quadratic(problem.target.matrix))[0]
     n = m.shape[1]
     h[-1] = 1.0 - f_target
 
@@ -299,9 +300,8 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
         probs, f_model = _honest_probs(p, fidelity, f_target)
         return (objective(probs), probs, f_model, *info)
 
-    # The simplex-only optimum bounds every honest distance from below, so
-    # if making it honest costs no more than a stalled descent step, no
-    # descent can do better.  Its honesty is often a tie decided by roundoff.
+    # The simplex-only optimum bounds every honest distance from below: if making
+    # it honest costs at most a stalled step, no descent can do better.
     p = _solve_qp(m, w, avg_rows[:-1], h[:-1], np.zeros(n)).x
     distance, probs, f_model = honest(p)
     if distance - objective(p) <= _DESCENT_DISTANCE_STALL:
@@ -331,18 +331,12 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
             gmat[-1] = 1.0 - _generator_fidelities(model, r)
             if converged:
                 break
-        ends.append((value, p, qps, converged))
+        # Ends are compared once honest: an end that meets its row only to
+        # within roundoff can cost far more (ADC gamma = 1, cc: 0.5 vs 0.25).
+        ends.append(honest(p, qps, converged))
     if not ends:
         raise SolverError("no start witness admits an honest mixture")
-
-    ends.sort(key=lambda end: end[0])
-    best = honest(*ends[0][1:])
-    if best[0] - ends[0][0] > _DESCENT_DISTANCE_STALL:
-        # An end can look best only because it meets its honesty row to within
-        # roundoff, and making it honest can cost far more (ADC gamma = 1, cc:
-        # 0.5 against 0.25), so every end is made honest and compared.
-        best = min((honest(*end[1:]) for end in ends), key=lambda b: b[0])
-    _, probs, f_model, qps, converged = best
+    _, probs, f_model, qps, converged = min(ends, key=lambda end: end[0])
     return _finish(problem, probs, f_target, f_model, converged, qps, len(starts))
 
 

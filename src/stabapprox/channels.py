@@ -135,9 +135,13 @@ def kraus_to_chi(ch: KrausChannel) -> ChiMatrix:
     reproduces the channel action through
     rho -> sum_mn chi_mn B_m rho B_n^dag.
     """
-    a = np.array([[np.trace(b @ k) for b in PAULI_BASIS] for k in ch.ops])
-    chi = a.T @ a.conj()
-    return ChiMatrix(chi)
+    return ChiMatrix(operators_chi(ch.ops))
+
+
+def operators_chi(ops) -> np.ndarray:
+    """The chi array of kraus_to_chi for any 2x2 operators, channel or not."""
+    a = np.array([[np.trace(b @ k) for b in PAULI_BASIS] for k in ops])
+    return a.T @ a.conj()
 
 
 def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:

@@ -19,8 +19,7 @@ Fields that do not apply are left empty.  Floats are serialized with
 repr so that parsing and re-serializing a stream is byte identical.
 
 A process-matrix JSON file holds 16 entries in row-major (I, X, Y, Z)
-order; each entry is either a finite number or a two-element [re, im]
-array of them (JSON booleans are rejected).
+order; each entry is a finite number or a two-element [re, im] array.
 Generator labels in `support` strings follow the canonical order
 documented in stabapprox.catalog ("X", "S+z", "H(x,y)+", "F(+,-,+)",
 "T|0>", ...).
@@ -210,21 +209,23 @@ def save_chi_file(chi: ChiMatrix, path: str) -> None:
         fh.write("\n")
 
 
-def _build_target(args) -> tuple[str, ChiMatrix | KrausChannel, dict]:
-    """Returns (kind, target, parameter dict) for --target."""
+def _build_target(args) -> tuple[str, ChiMatrix, KrausChannel | None, dict]:
+    """Returns (kind, chi, own Kraus form or None, parameter dict) for --target."""
     if args.target == "adc":
         if args.gamma is None:
             raise ValueError("--target adc needs --gamma")
-        return "adc", adc(AdcSpec(args.gamma)), {"gamma": args.gamma}
+        kraus = adc(AdcSpec(args.gamma))
+        return "adc", kraus_to_chi(kraus), kraus, {"gamma": args.gamma}
     if args.target == "pol":
         if args.phi is None or args.p is None:
             raise ValueError("--target pol needs --phi and --p")
         phi = math.radians(args.phi) if args.degrees else args.phi
-        return "pol", pol_xy(PolSpec(phi, args.p)), {"phi": phi, "p": args.p}
+        kraus = pol_xy(PolSpec(phi, args.p))
+        return "pol", kraus_to_chi(kraus), kraus, {"phi": phi, "p": args.p}
     if args.target == "file":
         if args.file is None:
             raise ValueError("--target file needs --file")
-        return "file", load_chi_file(args.file), {}
+        return "file", load_chi_file(args.file), None, {}
     raise ValueError(f"unknown target {args.target!r}")
 
 
@@ -238,14 +239,9 @@ def _models_arg(value: str) -> list[str]:
     return models
 
 
-def _solve_target(target: ChiMatrix | KrausChannel, args) -> ApproximationResult:
-    chi = kraus_to_chi(target) if isinstance(target, KrausChannel) else target
-    return solve(ApproximationProblem(chi, args.model, args.constraint))
-
-
 def cmd_approx(args) -> int:
-    kind, target, params = _build_target(args)
-    result = _solve_target(target, args)
+    kind, chi, _kraus, params = _build_target(args)
+    result = solve(ApproximationProblem(chi, args.model, args.constraint))
     record = _record_from_result(result, kind, **params)
     if args.out == "json":
         json.dump(asdict(record), sys.stdout, indent=2)
@@ -350,9 +346,9 @@ def cmd_random(args) -> int:
 
 
 def cmd_bloch_section(args) -> int:
-    _kind, target, _params = _build_target(args)
-    result = _solve_target(target, args)
-    kraus = target if isinstance(target, KrausChannel) else chi_to_kraus(target)
+    _kind, chi, kraus, _params = _build_target(args)
+    result = solve(ApproximationProblem(chi, args.model, args.constraint))
+    kraus = chi_to_kraus(chi) if kraus is None else kraus  # the section maps states
     model_channel = build_mixture(MixtureParams(args.model, result.params.probs))
     writer = _csv_writer(sys.stdout)
     writer.writerow(BLOCH_COLUMNS)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import ATOL, ChiMatrix, KrausChannel, kraus_to_chi
+from .channels import ATOL, ChiMatrix, KrausChannel, operators_chi
 
 CONSTRAINT_KINDS = ("avg", "worst")
 
@@ -61,9 +61,8 @@ def fidelity_quadratic(
     H is real symmetric positive semidefinite and g lies in its range, so
     the form is bounded below and its constrained minima are well posed.
     """
-    vd = _check_unitary(v).conj().T
-    chi = kraus_to_chi(KrausChannel(tuple(vd @ k for k in ch.ops)))
-    h, g, c = chi_fidelity_quadratic(chi.matrix)
+    vd = _check_unitary(v).conj().T  # V^dag K_i need not be a channel within ATOL
+    h, g, c = chi_fidelity_quadratic(operators_chi(vd @ k for k in ch.ops))
     return h, g, float(c)
 
 
@@ -158,13 +157,18 @@ def min_quadratic_form(
     return value, r
 
 
+def worst_of_quadratic(h, g, c, *, domain: str = "pure") -> tuple[float, np.ndarray]:
+    """Worst-case fidelity of the integrand r.H.r + 2 g.r + c, clipped to
+    [0, 1], together with the minimizing input Bloch vector."""
+    value, r = min_quadratic_form(h, g, c, domain=domain)
+    return min(max(value, 0.0), 1.0), r
+
+
 def worst_fidelity_point(
     v: np.ndarray, ch: KrausChannel, *, domain: str = "pure"
 ) -> tuple[float, np.ndarray]:
     """Worst-case fidelity together with the minimizing input Bloch vector."""
-    h, g, c = fidelity_quadratic(v, ch)
-    value, r = min_quadratic_form(h, g, c, domain=domain)
-    return min(max(value, 0.0), 1.0), r
+    return worst_of_quadratic(*fidelity_quadratic(v, ch), domain=domain)
 
 
 def worst_fidelity(v: np.ndarray, ch: KrausChannel, *, domain: str = "pure") -> float:

@@ -201,14 +201,16 @@ def test_clifford_covariance():
 
 def test_worst_case_solves_from_process_matrix_alone():
     # A bare process matrix is enough; a Kraus form given alongside is
-    # ignored, and the answer matches the one reached through chi_to_kraus.
+    # ignored, even one of another channel, and the answer matches the one
+    # reached through chi_to_kraus.
+    other = sa.adc(sa.AdcSpec(0.7))
     for chi in sa.random_chi_batch(sa.RandomChannelSpec(seed=19, count=3)):
         kraus = sa.chi_to_kraus(chi)
         for model in ("pc", "cc"):
             bare = sa.solve(sa.ApproximationProblem(chi, model, "worst"))
-            given = sa.solve(sa.ApproximationProblem(chi, model, "worst", kraus))
+            wrong = sa.solve(sa.ApproximationProblem(chi, model, "worst", other))
             assert (bare.distance, bare.f_target, bare.f_model) == (
-                given.distance, given.f_target, given.f_model
+                wrong.distance, wrong.f_target, wrong.f_model
             )
             via = sa.solve(sa.ApproximationProblem(sa.kraus_to_chi(kraus), model, "worst"))
             f_kraus = sa.worst_fidelity(np.eye(2), kraus)

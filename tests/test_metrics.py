@@ -128,6 +128,19 @@ def test_fidelities_are_invariant_under_kraus_unitary_freedom():
             )
 
 
+def test_fidelities_accept_reference_and_channel_each_within_atol():
+    # V and the K_i each pass their own ATOL check; the products V^dag K_i
+    # miss trace preservation by about twice that and must not be rejected.
+    eps = 0.49 * sa.ATOL
+    v = np.diag([1.0, 1.0 + eps])
+    ch = sa.KrausChannel((np.diag([1.0, 1.0 + eps]),))
+    exact = sa.KrausChannel((np.eye(2),))
+    for fidelity in (sa.avg_fidelity, sa.worst_fidelity):
+        assert fidelity(v, ch) == pytest.approx(fidelity(np.eye(2), exact), abs=1e-9)
+    h, g, c = sa.fidelity_quadratic(v, ch)
+    assert c == pytest.approx(1.0, abs=1e-9)
+
+
 def test_worst_fidelity_identity_channel():
     assert sa.worst_fidelity(np.eye(2), sa.identity_channel()) == pytest.approx(1.0, abs=1e-12)
 
