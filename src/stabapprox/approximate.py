@@ -19,7 +19,11 @@ simplex with one linear honesty row.
   is the minimum over unit r of that QP.  It is solved by alternating
   descent from fixed start witnesses: p <- QP(r), then r <- the worst input
   of p.  The previous p stays feasible for the new row, so the distance
-  never increases along a descent; the best descent wins.
+  never increases along a descent; the best descent wins.  A descent is
+  fixed by its first row, so a start whose row repeats an earlier start's
+  row is not descended again (without a measurement generator q_a(r) =
+  q_a(-r), so r and -r share a row); restarts_used still counts all 15
+  start witnesses.
 
 The target enters only through its process matrix (chi_fidelity_quadratic).
 """
@@ -311,8 +315,15 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
     gmat = np.array(avg_rows)
     starts = np.vstack([r_free, _START_WITNESSES])
     ends = []
+    first_rows = []
     for r in starts:
-        gmat[-1] = 1.0 - _generator_fidelities(model, r)
+        row = 1.0 - _generator_fidelities(model, r)
+        # A descent is fixed by its first row (the stall test cannot pass at its
+        # first QP), so a repeated row would repeat an end already in ends.
+        if any(np.array_equal(row, seen) for seen in first_rows):
+            continue
+        first_rows.append(row)
+        gmat[-1] = row
         a = int(np.argmax(gmat[-1]))
         if gmat[-1, a] < h[-1]:
             continue  # no mixture is honest on this input
@@ -345,12 +356,14 @@ def solve(problem: ApproximationProblem) -> ApproximationResult:
 
     The average path returns the global optimum of the underlying convex
     QP.  The worst-case path returns the best of the alternating descents
-    over the witness input from a fixed set of start witnesses: its
-    `iterations` are the QPs of the winning descent, `restarts_used` the
-    number of start witnesses (0 when the simplex-only optimum is honest
-    within a stalled step), and `converged` says whether the winning
-    descent stalled before its QP budget ran out.  Both paths are
-    deterministic and report f_model <= f_target exactly.
+    over the witness input from a fixed set of start witnesses, where a
+    start whose first honesty row repeats an earlier start's row is not
+    descended again: its `iterations` are the QPs of the winning descent,
+    `restarts_used` the number of start witnesses, repeated rows included
+    (0 when the simplex-only optimum is honest within a stalled step), and
+    `converged` says whether the winning descent stalled before its QP
+    budget ran out.  Both paths are deterministic and report
+    f_model <= f_target exactly.
     """
     if problem.constraint not in CONSTRAINT_KINDS:
         raise ValueError(

@@ -26,7 +26,8 @@ certifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,8 +37,14 @@ class QPResult:
     x: np.ndarray
     iterations: int
     converged: bool
-    kkt_residual: float
     active: tuple[int, ...]
+    problem: tuple = field(repr=False, compare=False)  # (m, w, gmat, h) as solved
+
+    @cached_property
+    def kkt_residual(self) -> float:
+        """KKT residual of x on the rows it was solved under, computed on first
+        read: most callers never read it, and it costs one more lstsq."""
+        return kkt_residual(*self.problem, self.x, list(self.active))
 
 
 def kkt_residual(m, w, gmat, h, x, active: list[int]) -> float:
@@ -65,8 +72,8 @@ def solve_lsq_qp(m, w, gmat, h, x0, max_iter: int = 400) -> QPResult:
     """
     m = np.asarray(m, dtype=float)
     w = np.asarray(w, dtype=float)
-    gmat = np.asarray(gmat, dtype=float)
-    h = np.asarray(h, dtype=float)
+    gmat = np.array(gmat, dtype=float)  # copies: the result keeps these rows
+    h = np.array(h, dtype=float)
     x = np.array(x0, dtype=float)
     n = x.size
 
@@ -119,7 +126,7 @@ def solve_lsq_qp(m, w, gmat, h, x0, max_iter: int = 400) -> QPResult:
 
         if np.abs(d).max() <= 1e-13 * max(1.0, np.abs(x).max()):
             if not work.any():
-                return QPResult(x, it, True, kkt_residual(m, w, gmat, h, x, []), ())
+                return QPResult(x, it, True, (), (m, w, gmat, h))
             grad = 2.0 * (gram @ x - mtw)
             lam_general = -2.0 * sol[nf:]
             fixed = np.flatnonzero(fixed_by >= 0)
@@ -130,9 +137,7 @@ def solve_lsq_qp(m, w, gmat, h, x0, max_iter: int = 400) -> QPResult:
             k = int(np.argmin(lam))
             if float(lam[k]) >= -tol:
                 active = tuple(int(i) for i in np.flatnonzero(work))
-                return QPResult(
-                    x, it, True, kkt_residual(m, w, gmat, h, x, list(active)), active
-                )
+                return QPResult(x, it, True, active, (m, w, gmat, h))
             if k < len(rows):
                 fixed_by[fixed[k]] = -1
                 work[rows[k]] = False
@@ -155,4 +160,4 @@ def solve_lsq_qp(m, w, gmat, h, x0, max_iter: int = 400) -> QPResult:
             enter(blocker)
 
     active = tuple(int(i) for i in np.flatnonzero(work))
-    return QPResult(x, max_iter, False, kkt_residual(m, w, gmat, h, x, list(active)), active)
+    return QPResult(x, max_iter, False, active, (m, w, gmat, h))

@@ -246,6 +246,47 @@ def test_worst_case_keeps_an_honest_simplex_only_optimum():
             assert (result.restarts_used, result.iterations) == (0, 1), model
 
 
+def test_worst_case_descends_once_per_distinct_start_row(monkeypatch):
+    # pc and cc hold no measurement generator, so each q_a(r) = q_a(-r) and
+    # the start witnesses +-e_i, and +-d for each cube diagonal d (on pc all
+    # 8 diagonals), give one honesty row: their descents would repeat one
+    # another.  pmc and cmc break that symmetry.  Each descent end is made
+    # honest once, after the one call for the simplex-only optimum.
+    approximate = sa.approximate
+    calls = []
+    honest_probs = approximate._honest_probs
+
+    def counted(*args):
+        calls.append(args)
+        return honest_probs(*args)
+
+    monkeypatch.setattr(approximate, "_honest_probs", counted)
+
+    def descents(chi, model):
+        calls.clear()
+        result = sa.solve(sa.ApproximationProblem(chi, model, "worst"))
+        assert result.restarts_used == 15
+        return result, len(calls) - 1
+
+    def answer(result):
+        return (
+            result.distance, result.f_model, result.f_target,
+            result.params.probs.tobytes(), result.iterations, result.converged,
+        )
+
+    adc = adc_problem(0.25, "pc").target
+    other = sa.random_chi_batch(sa.RandomChannelSpec(seed=2026, count=1))[0]
+    for model, most in (("pc", 5), ("cc", 8)):
+        for chi in (adc, other):
+            result, count = descents(chi, model)
+            assert 1 <= count <= most, model
+            with monkeypatch.context() as patch:
+                patch.setattr(approximate, "_START_WITNESSES", -approximate._START_WITNESSES)
+                assert answer(descents(chi, model)[0]) == answer(result), model
+    for model in ("pmc", "cmc"):  # every start is feasible here, and no two share a row
+        assert descents(other, model)[1] == len(approximate._START_WITNESSES) + 1, model
+
+
 def test_pol_average_and_worst_agree():
     phi, p = np.pi / 5, 0.1
     for model in ("pc", "cc"):

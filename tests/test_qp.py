@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import stabapprox as sa
-from stabapprox.qp import solve_lsq_qp
+from stabapprox.qp import kkt_residual, solve_lsq_qp
 
 
 def unit_target(model: str, label: str) -> sa.ChiMatrix:
@@ -48,3 +48,16 @@ def test_infeasible_start_is_rejected():
         solve_lsq_qp(m, w, gmat, h, np.zeros_like(x0))  # honesty row violated
     with pytest.raises(ValueError, match="infeasible"):
         solve_lsq_qp(m, w, gmat, h, np.full_like(x0, 0.5))  # sum(p) > 1
+
+
+def test_kkt_residual_is_computed_on_first_read_from_the_rows_solved():
+    # The worst-case descent rewrites its honesty row in place after each
+    # QP; a residual read afterwards must still be that of the rows solved.
+    target = sa.kraus_to_chi(sa.adc(sa.AdcSpec(0.25)))
+    m, w, rows, h, x0 = sa.average_qp_data(target, "cmc")
+    gmat = np.array(rows)
+    res = solve_lsq_qp(m, w, gmat, h, x0)
+    assert "kkt_residual" not in vars(res)
+    gmat[-1] = -gmat[-1]
+    assert res.kkt_residual <= 1e-12
+    assert res.kkt_residual == kkt_residual(m, w, rows, h, res.x, list(res.active))
