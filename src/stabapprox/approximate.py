@@ -23,7 +23,10 @@ simplex with one linear honesty row.
   fixed by its first row, so a start whose row repeats an earlier start's
   row is not descended again (without a measurement generator q_a(r) =
   q_a(-r), so r and -r share a row); restarts_used still counts all 15
-  start witnesses.
+  start witnesses.  A descent stops when it stalls, or once its mixture's
+  process matrix comes within 1e-4 (largest entry) of an earlier end's: the
+  QP's process matrix is unique and fixes the next witness, so the descent
+  could only find that end again.  Both stops count as converged.
 
 The target enters only through its process matrix (chi_fidelity_quadratic).
 """
@@ -68,6 +71,7 @@ _START_WITNESSES = np.vstack(
 _DESCENT_MAX_QPS = 200  # QPs per start before a descent is cut off
 _DESCENT_DISTANCE_STALL = 1e-15  # distance decrease of a stalled step
 _DESCENT_WITNESS_STALL = 1e-9  # witness move of a stalled step
+_DESCENT_END_MATCH = 1e-4  # chi gap (largest entry) at which a descent rejoins an end
 
 
 class SolverError(RuntimeError):
@@ -315,6 +319,7 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
     gmat = np.array(avg_rows)
     starts = np.vstack([r_free, _START_WITNESSES])
     ends = []
+    end_chis = []
     first_rows = []
     for r in starts:
         row = 1.0 - _generator_fidelities(model, r)
@@ -332,6 +337,12 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
         prev = np.inf
         for qps in range(1, _DESCENT_MAX_QPS + 1):
             p = _solve_qp(m, w, gmat, h, p).x
+            # The QP's chi is unique and fixes the next witness, so a descent
+            # whose chi has come back to an earlier end's can only find that end.
+            chi = m @ p
+            converged = any(np.abs(chi - e).max() <= _DESCENT_END_MATCH for e in end_chis)
+            if converged:
+                break
             value = objective(p)
             _, r_next = _worst_input(model, p)
             converged = (
@@ -342,6 +353,7 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
             gmat[-1] = 1.0 - _generator_fidelities(model, r)
             if converged:
                 break
+        end_chis.append(chi)
         # Ends are compared once honest: an end that meets its row only to
         # within roundoff can cost far more (ADC gamma = 1, cc: 0.5 vs 0.25).
         ends.append(honest(p, qps, converged))
@@ -361,9 +373,10 @@ def solve(problem: ApproximationProblem) -> ApproximationResult:
     descended again: its `iterations` are the QPs of the winning descent,
     `restarts_used` the number of start witnesses, repeated rows included
     (0 when the simplex-only optimum is honest within a stalled step), and
-    `converged` says whether the winning descent stalled before its QP
-    budget ran out.  Both paths are deterministic and report
-    f_model <= f_target exactly.
+    `converged` says whether the winning descent met its stopping rule
+    before its QP budget ran out: it stalled, or its mixture's process
+    matrix came within 1e-4 of an earlier descent's end.  Both paths are
+    deterministic and report f_model <= f_target exactly.
     """
     if problem.constraint not in CONSTRAINT_KINDS:
         raise ValueError(

@@ -287,6 +287,40 @@ def test_worst_case_descends_once_per_distinct_start_row(monkeypatch):
         assert descents(other, model)[1] == len(approximate._START_WITNESSES) + 1, model
 
 
+def test_worst_case_descent_stops_where_it_rejoins_an_earlier_end(monkeypatch):
+    # A descent stops once its mixture's chi comes within _DESCENT_END_MATCH of
+    # an earlier end's.  A negative match stops none early: the answers must
+    # agree to within the stall tolerance's spread of ends in one basin, while
+    # the cut runs fewer QPs.
+    approximate = sa.approximate
+    qps = []
+    solve_qp = approximate._solve_qp
+
+    def counted(*args):
+        qps.append(args)
+        return solve_qp(*args)
+
+    monkeypatch.setattr(approximate, "_solve_qp", counted)
+    adc = adc_problem(0.25, "pc").target
+    randoms = sa.random_chi_batch(sa.RandomChannelSpec(seed=2026, count=3))
+    problems = [(adc, "pc"), (adc, "cc")]
+    problems += [(chi, model) for chi in randoms for model in sa.MODELS]
+
+    def run():
+        qps.clear()
+        results = [sa.solve(sa.ApproximationProblem(chi, m, "worst")) for chi, m in problems]
+        for result in results:
+            assert result.converged and result.f_model <= result.f_target, result.model
+        return results, len(qps)
+
+    cut, cut_qps = run()
+    monkeypatch.setattr(approximate, "_DESCENT_END_MATCH", -1.0)
+    full, full_qps = run()
+    assert cut_qps < full_qps
+    for a, b in zip(cut, full):
+        assert a.distance == pytest.approx(b.distance, abs=1e-12), a.model
+
+
 def test_pol_average_and_worst_agree():
     phi, p = np.pi / 5, 0.1
     for model in ("pc", "cc"):

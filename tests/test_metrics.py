@@ -243,3 +243,28 @@ def test_min_quadratic_form_hard_case():
     grid = np.einsum("ij,jk,ik->i", dirs, h, dirs) + 2 * dirs @ g + 0.5
     assert val <= grid.min() + 1e-6
     assert abs(np.linalg.norm(r) - 1.0) <= 1e-9
+
+
+def test_min_quadratic_form_meets_the_global_optimality_conditions():
+    # More & Sorensen: a unit r with (H + mu I) r + g = 0 and H + mu I >= 0
+    # minimizes r.H.r + 2 g.r over the sphere.  Besides random forms, three
+    # hard cases: b = 0 on the bottom eigenspace with the padded point
+    # outside the sphere (a Newton start at mu = -lambda_0 divides 0/0
+    # there), a bottom component at roundoff, and a doubled bottom eigenvalue.
+    rng = np.random.default_rng(53)
+    forms = []
+    for _ in range(500):
+        a = rng.standard_normal((3, 3))
+        forms.append((a @ a.T, rng.standard_normal(3) * 10 ** rng.uniform(-6, 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    forms += [
+        (np.diag([0.0, 1.0, 2.0]), np.array([0.0, 3.0, 0.0])),
+        (np.diag([0.0, 1.0, 2.0]), np.array([1e-14, 0.3, 0.1])),
+        (q @ np.diag([0.5, 0.5, 2.0]) @ q.T, q @ np.array([0.2, -0.4, 0.3])),
+    ]
+    for h, g in forms:
+        _, r = sa.min_quadratic_form(h, g, 0.0, domain="pure")
+        assert abs(np.linalg.norm(r) - 1.0) <= 1e-12
+        mu = -float(r @ (h @ r + g))
+        assert mu >= -np.linalg.eigvalsh(h)[0] - 1e-10
+        assert np.linalg.norm((h + mu * np.eye(3)) @ r + g) <= 1e-10
