@@ -43,6 +43,7 @@ from .catalog import (
     MixtureParams,
     enumerate_generators,
     generator_chis,
+    generator_quadratics,
     identity_fidelity_coefficients,
     mixture_chi,
 )
@@ -209,10 +210,12 @@ def _honest_probs(x: np.ndarray, fidelity, f_target: float):
     solution is shrunk by 1 - delta toward the identity and then blended
     toward e_a until F is f_target - delta.  A one-for-one shift onto a
     alone would break sum(p) <= 1 where the simplex row is tight too.  Where
-    F_a is within the excess of f_target (a Pauli on a target of fidelity
-    0) the blend would have to reach e_a itself; there the identity's
-    weight moves onto a instead, which can lower F to F_a exactly, and
-    only if that fails is p replaced by e_a.
+    F - F_a is within the excess or the largest margin (a Pauli on a target
+    of fidelity near 0) the blend weight t = excess / (F - F_a) would be of
+    order 1; there the identity's weight moves onto a instead, which can
+    lower F to F_a exactly.  Where roundoff in F or sum(p) defeats that, the
+    next margin is tried, and only if every margin fails is p replaced by
+    e_a.
     """
     base = np.clip(x, 0.0, None)
     delta = 0.0
@@ -222,22 +225,24 @@ def _honest_probs(x: np.ndarray, fidelity, f_target: float):
         excess = f_model - f_target + delta
         if excess > 0.0:
             gap = f_model - f_a
-            if gap > excess:
+            if gap > max(excess, _HONESTY_MARGIN_MAX):
                 t = excess / gap
                 probs *= 1.0 - t
                 probs[a] += t
             elif f_model > f_target:
                 probs[a] += max(1.0 - float(probs.sum()), 0.0)
-                if fidelity(probs)[0] > f_target:
-                    probs = np.zeros_like(probs)
-                    probs[a] = 1.0
             f_model = fidelity(probs)[0]
         if f_model <= f_target and float(probs.sum()) <= 1.0:
             return probs, f_model
         delta = max(2.0 * delta, np.finfo(float).eps)
-    raise SolverError(
-        f"no honest mixture within roundoff of the QP solution (f_target {f_target!r})"
-    )
+    probs = np.zeros_like(base)
+    probs[a] = 1.0
+    f_model = fidelity(probs)[0]
+    if f_model > f_target:
+        raise SolverError(
+            f"no honest mixture within roundoff of the QP solution (f_target {f_target!r})"
+        )
+    return probs, f_model
 
 
 def _solve_qp(m, w, gmat, h, x0):
@@ -264,25 +269,16 @@ def _solve_average(problem: ApproximationProblem) -> ApproximationResult:
     return _finish(problem, probs, f_target, f_model, True, res.iterations, 0)
 
 
-@lru_cache(maxsize=None)
-def _generator_quadratics(model: str):
-    """Per-generator (H, g, c) of the identity-fidelity integrand, read off the
-    process matrices rounded onto Z[i]/2, where they lie: without the ulps of
-    their Kraus route each vanishes exactly where honesty at F_target = 0 needs."""
-    exact = np.round(2.0 * generator_chis(model)) / 2.0
-    return tuple(_read_only(a) for a in chi_fidelity_quadratic(exact))
-
-
 def _generator_fidelities(model: str, r: np.ndarray) -> np.ndarray:
     """q_a(r): each generator's fidelity integrand on the input r."""
-    hs, gs, cs = _generator_quadratics(model)
+    hs, gs, cs = generator_quadratics(model)
     return hs @ r @ r + 2.0 * (gs @ r) + cs
 
 
 def _worst_input(model: str, p: np.ndarray) -> tuple[float, np.ndarray]:
     """(worst fidelity, witness Bloch vector) of the mixture with raw
     probabilities p."""
-    hs, gs, cs = _generator_quadratics(model)
+    hs, gs, cs = generator_quadratics(model)
     h = np.tensordot(p, hs, axes=1)
     c = 1.0 - float(p.sum()) + float(p @ cs)
     return min_quadratic_form(h, p @ gs, c, domain="pure")

@@ -42,6 +42,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .channels import I2, X, Y, Z, ChiMatrix, KrausChannel, identity_chi, kraus_to_chi
+from .metrics import chi_fidelity_quadratic
 
 MODELS = ("pc", "pmc", "cc", "cmc")
 
@@ -67,13 +68,13 @@ _EIGENSTATES = (
 
 @dataclass(frozen=True)
 class Generator:
-    """One catalog entry: label, operator family, Kraus expansion at unit
-    probability, and its coefficient in the identity average fidelity."""
+    """One catalog entry: label, operator family and Kraus expansion at unit
+    probability.  Its fidelity coefficients are read off its process matrix
+    (generator_quadratics)."""
 
     label: str
     family: str  # "pauli" | "s" | "hadamard" | "face" | "translation"
     ops: tuple[np.ndarray, ...]
-    fidelity_coeff: float
 
 
 @dataclass(frozen=True)
@@ -96,54 +97,46 @@ def _rotation(generator_op: np.ndarray, angle: float) -> np.ndarray:
 
 
 def _pauli_generators() -> list[Generator]:
-    # |Tr sigma|^2 / 4 = 0
-    return [
-        Generator(label, "pauli", (mat,), 0.0)
-        for label, mat in (("X", X), ("Y", Y), ("Z", Z))
-    ]
+    return [Generator(label, "pauli", (mat,)) for label, mat in (("X", X), ("Y", Y), ("Z", Z))]
 
 
 def _s_generators() -> list[Generator]:
-    # |Tr exp(-i pi/4 sigma)|^2 / 4 = (sqrt(2))^2 / 4 = 1/2
     out = []
     for axis, sigma in _AXES:
         for sign_label, sign in (("+", 1.0), ("-", -1.0)):
             u = _rotation(sign * sigma, np.pi / 4.0)
-            out.append(Generator(f"S{sign_label}{axis}", "s", (u,), 0.5))
+            out.append(Generator(f"S{sign_label}{axis}", "s", (u,)))
     return out
 
 
 def _hadamard_generators() -> list[Generator]:
-    # exp(-i pi/2 n.sigma) = -i n.sigma is traceless.
     out = []
     for (ax_j, sig_j), (ax_k, sig_k) in combinations(_AXES, 2):
         for sign_label, sign in (("+", 1.0), ("-", -1.0)):
             axis_op = (sig_j + sign * sig_k) / np.sqrt(2.0)
             u = _rotation(axis_op, np.pi / 2.0)
-            out.append(Generator(f"H({ax_j},{ax_k}){sign_label}", "hadamard", (u,), 0.0))
+            out.append(Generator(f"H({ax_j},{ax_k}){sign_label}", "hadamard", (u,)))
     return out
 
 
 def _face_generators() -> list[Generator]:
-    # |Tr exp(-i pi/3 sigma_F)|^2 / 4 = |2 cos(pi/3)|^2 / 4 = 1/4
     out = []
     for sx, sy, sz in product((1.0, -1.0), repeat=3):
         axis_op = (sx * X + sy * Y + sz * Z) / np.sqrt(3.0)
         u = _rotation(axis_op, np.pi / 3.0)
         signs = ",".join("+" if s > 0 else "-" for s in (sx, sy, sz))
-        out.append(Generator(f"F({signs})", "face", (u,), 0.25))
+        out.append(Generator(f"F({signs})", "face", (u,)))
     return out
 
 
 def _translation_generators() -> list[Generator]:
-    # |Tr |f><f||^2/4 + |Tr |f><f_perp||^2/4 = 1/4 + 0
     out = []
     for name, ket, ket_perp in _EIGENSTATES:
         keep = np.outer(ket, ket.conj())
         swap = np.outer(ket, ket_perp.conj())
         keep.setflags(write=False)
         swap.setflags(write=False)
-        out.append(Generator(f"T{name}", "translation", (keep, swap), 0.25))
+        out.append(Generator(f"T{name}", "translation", (keep, swap)))
     return out
 
 
@@ -176,19 +169,6 @@ def clifford_unitaries() -> tuple[tuple[str, np.ndarray], ...]:
     for gen in enumerate_generators("cc"):
         out.append((gen.label, gen.ops[0]))
     return tuple(out)
-
-
-def identity_fidelity_coefficients(model: str, kind: str = "avg") -> np.ndarray:
-    """Per-generator coefficients c_a of the identity average fidelity.
-
-    For a mixture with generator probabilities p the average fidelity
-    against the identity is linear: F = p0 + sum_a c_a p_a with
-    p0 = 1 - sum(p).  The worst-case fidelity has no such linear form, so
-    only kind="avg" is supported.
-    """
-    if kind != "avg":
-        raise ValueError("only the average fidelity constraint has a linear form")
-    return np.array([g.fidelity_coeff for g in enumerate_generators(model)])
 
 
 @dataclass(frozen=True)
@@ -248,6 +228,29 @@ def generator_chis(model: str) -> np.ndarray:
     out = np.stack(mats)
     out.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=None)
+def generator_quadratics(model: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-generator (H, g, c) of the identity-fidelity integrand
+    q_a(r) = r.H_a.r + 2 g_a.r + c_a (chi_fidelity_quadratic), read-only.
+
+    Every generator's process-matrix entry lies on Z[i]/2, so the matrices
+    are rounded onto it first: without the ulps of their Kraus route each
+    integrand vanishes exactly where honesty at F_target = 0 needs it to.
+    """
+    exact = np.round(2.0 * generator_chis(model)) / 2.0
+    out = chi_fidelity_quadratic(exact)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def identity_fidelity_coefficients(model: str) -> np.ndarray:
+    """Per-generator coefficients c_a of the identity average fidelity, the
+    c of generator_quadratics: for a mixture with generator probabilities p
+    it is F = p0 + sum_a c_a p_a with p0 = 1 - sum(p)."""
+    return generator_quadratics(model)[2]
 
 
 def mixture_chi(params: MixtureParams) -> ChiMatrix:

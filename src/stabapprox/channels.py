@@ -26,6 +26,8 @@ import numpy as np
 # Absolute tolerance for invariant checks and matrix comparisons.
 ATOL = 1e-10
 
+_KRAUS_CUTOFF = 1e-12  # chi eigenvalues chi_to_kraus drops
+
 I2 = np.array([[1, 0], [0, 1]], dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -211,20 +213,20 @@ def validate_cptp(chi: ChiMatrix) -> list[CptpViolation]:
     return report
 
 
-def chi_to_kraus(chi: ChiMatrix, cutoff: float = 1e-12) -> KrausChannel:
+def chi_to_kraus(chi: ChiMatrix) -> KrausChannel:
     """Canonical Kraus decomposition of a valid CPTP process matrix.
 
     Eigendecomposes chi = sum_k lam_k v_k v_k^dag and returns the operators
-    K_k = sqrt(lam_k) sum_m v_km B_m, dropping eigenvalues below cutoff.
+    K_k = sqrt(lam_k) sum_m v_km B_m, dropping eigenvalues up to 1e-12.
     Fails (through KrausChannel validation) if chi is not trace preserving.
-    The solver never needs it: every fidelity is read off the process
-    matrix, which does not depend on the choice of decomposition.  It
-    serves displays that apply a channel to states (bloch-section).
+    Nothing in the package needs it: the solver reads every fidelity off
+    the process matrix, and the CLI maps states with apply_chi.  It serves
+    library users who want an operator form of a process matrix.
     """
     vals, vecs = np.linalg.eigh(chi.matrix)
     ops = []
     for val, vec in zip(vals, vecs.T):
-        if val > cutoff:
+        if val > _KRAUS_CUTOFF:
             k = np.sqrt(val) * sum(c * b for c, b in zip(vec, PAULI_BASIS))
             ops.append(k)
     return KrausChannel(tuple(ops))

@@ -11,12 +11,13 @@ Subcommands
 solve_batch call.  If any item failed they raise a SolverError with the
 first failure's message (exit 3) before writing anything.
 
-All run records share one CSV schema (columns in fixed order):
-    target_kind, param_gamma, param_phi, param_p, model, constraint,
-    distance, f_target, f_model, support, converged, restarts_used, seed,
-    channel_index
+All run records share one CSV schema: the fields of RunRecord, in order.
 Fields that do not apply are left empty.  Floats are serialized with
 repr so that parsing and re-serializing a stream is byte identical.
+
+`bloch-section` maps input states through the process matrices of the
+target and of the solved mixture (apply_chi); no subcommand needs a Kraus
+form of a process matrix.
 
 A process-matrix JSON file holds 16 entries in row-major (I, X, Y, Z)
 order; each entry is a finite number or a two-element [re, im] array.
@@ -35,7 +36,8 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -46,28 +48,11 @@ from .approximate import (
     solve,
     solve_batch,
 )
-from .catalog import MODELS, MixtureParams, build_mixture
-from .channels import ChiMatrix, KrausChannel, bloch_image, chi_to_kraus, identity_chi
-from .channels import kraus_to_chi, validate_cptp
+from .catalog import MODELS, mixture_chi
+from .channels import ChiMatrix, apply_chi, bloch_from_density, density_from_bloch
+from .channels import identity_chi, kraus_to_chi, validate_cptp
 from .metrics import hs_distance
 from .targets import AdcSpec, GenerationError, PolSpec, adc, pol_xy, random_chi
-
-CSV_COLUMNS = (
-    "target_kind",
-    "param_gamma",
-    "param_phi",
-    "param_p",
-    "model",
-    "constraint",
-    "distance",
-    "f_target",
-    "f_model",
-    "support",
-    "converged",
-    "restarts_used",
-    "seed",
-    "channel_index",
-)
 
 BLOCH_COLUMNS = ("theta", "x_in", "z_in", "x_target", "z_target", "x_model", "z_model")
 
@@ -83,12 +68,12 @@ def _fmt12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunRecord:
     target_kind: str
-    param_gamma: float | None
-    param_phi: float | None
-    param_p: float | None
+    param_gamma: float | None = None
+    param_phi: float | None = None
+    param_p: float | None = None
     model: str
     constraint: str
     distance: float
@@ -97,53 +82,39 @@ class RunRecord:
     support: str
     converged: bool
     restarts_used: int
-    seed: int | None
-    channel_index: int | None
+    seed: int | None = None
+    channel_index: int | None = None
 
     def to_csv_row(self) -> list[str]:
-        def opt(x):
-            return "" if x is None else _fmt(x)
+        return [_format_cell(getattr(self, name)) for name in CSV_COLUMNS]
 
-        return [
-            self.target_kind,
-            opt(self.param_gamma),
-            opt(self.param_phi),
-            opt(self.param_p),
-            self.model,
-            self.constraint,
-            _fmt(self.distance),
-            _fmt(self.f_target),
-            _fmt(self.f_model),
-            self.support,
-            "true" if self.converged else "false",
-            str(self.restarts_used),
-            "" if self.seed is None else str(self.seed),
-            "" if self.channel_index is None else str(self.channel_index),
-        ]
+
+CSV_COLUMNS = tuple(f.name for f in fields(RunRecord))
+
+_CELL_TYPES = typing.get_type_hints(RunRecord)
+
+
+def _format_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):  # before int: bool is a subclass of int
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _fmt(value)
+    return str(value)
+
+
+def _parse_cell(text: str, kind):
+    """Inverse of _format_cell for a field declared as T or T | None."""
+    kind, *optional = typing.get_args(kind) or (kind,)
+    if optional and text == "":
+        return None
+    return text == "true" if kind is bool else kind(text)
 
 
 def parse_csv_row(row: list[str]) -> RunRecord:
-    def f_opt(s):
-        return None if s == "" else float(s)
-
-    def i_opt(s):
-        return None if s == "" else int(s)
-
     return RunRecord(
-        target_kind=row[0],
-        param_gamma=f_opt(row[1]),
-        param_phi=f_opt(row[2]),
-        param_p=f_opt(row[3]),
-        model=row[4],
-        constraint=row[5],
-        distance=float(row[6]),
-        f_target=float(row[7]),
-        f_model=float(row[8]),
-        support=row[9],
-        converged=row[10] == "true",
-        restarts_used=int(row[11]),
-        seed=i_opt(row[12]),
-        channel_index=i_opt(row[13]),
+        **{name: _parse_cell(text, _CELL_TYPES[name]) for name, text in zip(CSV_COLUMNS, row)}
     )
 
 
@@ -151,21 +122,10 @@ def _support_string(result: ApproximationResult) -> str:
     return ";".join(f"{label}={p:.12g}" for label, p in result.support)
 
 
-def _record_from_result(
-    result: ApproximationResult,
-    target_kind: str,
-    *,
-    gamma: float | None = None,
-    phi: float | None = None,
-    p: float | None = None,
-    seed: int | None = None,
-    channel_index: int | None = None,
-) -> RunRecord:
+def _record_from_result(result: ApproximationResult, target_kind: str, **optional) -> RunRecord:
+    """Run record of one solve; optional sets the optional fields (param_gamma, seed, ...)."""
     return RunRecord(
         target_kind=target_kind,
-        param_gamma=gamma,
-        param_phi=phi,
-        param_p=p,
         model=result.model,
         constraint=result.constraint,
         distance=result.distance,
@@ -174,8 +134,7 @@ def _record_from_result(
         support=_support_string(result),
         converged=result.converged,
         restarts_used=result.restarts_used,
-        seed=seed,
-        channel_index=channel_index,
+        **optional,
     )
 
 
@@ -209,23 +168,22 @@ def save_chi_file(chi: ChiMatrix, path: str) -> None:
         fh.write("\n")
 
 
-def _build_target(args) -> tuple[str, ChiMatrix, KrausChannel | None, dict]:
-    """Returns (kind, chi, own Kraus form or None, parameter dict) for --target."""
+def _build_target(args) -> tuple[str, ChiMatrix, dict]:
+    """Returns (kind, process matrix, RunRecord parameter fields) for --target."""
     if args.target == "adc":
         if args.gamma is None:
             raise ValueError("--target adc needs --gamma")
-        kraus = adc(AdcSpec(args.gamma))
-        return "adc", kraus_to_chi(kraus), kraus, {"gamma": args.gamma}
+        return "adc", kraus_to_chi(adc(AdcSpec(args.gamma))), {"param_gamma": args.gamma}
     if args.target == "pol":
         if args.phi is None or args.p is None:
             raise ValueError("--target pol needs --phi and --p")
         phi = math.radians(args.phi) if args.degrees else args.phi
-        kraus = pol_xy(PolSpec(phi, args.p))
-        return "pol", kraus_to_chi(kraus), kraus, {"phi": phi, "p": args.p}
+        chi = kraus_to_chi(pol_xy(PolSpec(phi, args.p)))
+        return "pol", chi, {"param_phi": phi, "param_p": args.p}
     if args.target == "file":
         if args.file is None:
             raise ValueError("--target file needs --file")
-        return "file", load_chi_file(args.file), None, {}
+        return "file", load_chi_file(args.file), {}
     raise ValueError(f"unknown target {args.target!r}")
 
 
@@ -240,7 +198,7 @@ def _models_arg(value: str) -> list[str]:
 
 
 def cmd_approx(args) -> int:
-    kind, chi, _kraus, params = _build_target(args)
+    kind, chi, params = _build_target(args)
     result = solve(ApproximationProblem(chi, args.model, args.constraint))
     record = _record_from_result(result, kind, **params)
     if args.out == "json":
@@ -266,10 +224,10 @@ def cmd_sweep(args) -> int:
     grid = np.linspace(lo, hi, args.steps)
     if args.target == "adc":
         targets = [adc(AdcSpec(value)) for value in grid]
-        params = [{"gamma": float(value)} for value in grid]
+        params = [{"param_gamma": float(value)} for value in grid]
     else:
         targets = [pol_xy(PolSpec(value, args.p)) for value in grid]
-        params = [{"phi": float(value), "p": args.p} for value in grid]
+        params = [{"param_phi": float(value), "param_p": args.p} for value in grid]
     results = solve_batch(targets, args.model, args.constraint)
     _raise_first_error(results)
     writer = _csv_writer(sys.stdout)
@@ -308,9 +266,6 @@ def cmd_random(args) -> int:
         rows.append(
             RunRecord(
                 target_kind="random",
-                param_gamma=None,
-                param_phi=None,
-                param_p=None,
                 model="identity",
                 constraint=args.constraint,
                 distance=hs_distance(chi, identity),
@@ -346,17 +301,17 @@ def cmd_random(args) -> int:
 
 
 def cmd_bloch_section(args) -> int:
-    _kind, chi, kraus, _params = _build_target(args)
+    _kind, chi, _params = _build_target(args)
     result = solve(ApproximationProblem(chi, args.model, args.constraint))
-    kraus = chi_to_kraus(chi) if kraus is None else kraus  # the section maps states
-    model_channel = build_mixture(MixtureParams(args.model, result.params.probs))
+    model_chi = mixture_chi(result.params)
     writer = _csv_writer(sys.stdout)
     writer.writerow(BLOCH_COLUMNS)
     for k in range(args.points):
         theta = 2.0 * np.pi * k / args.points
         r_in = np.array([np.sin(theta), 0.0, np.cos(theta)])
-        r_target = bloch_image(kraus, r_in)
-        r_model = bloch_image(model_channel, r_in)
+        rho = density_from_bloch(r_in)
+        r_target = bloch_from_density(apply_chi(chi, rho))
+        r_model = bloch_from_density(apply_chi(model_chi, rho))
         writer.writerow(
             [
                 _fmt(theta),

@@ -15,13 +15,14 @@ of the equality-constrained step over the free variables F,
 
 where A holds the working general rows restricted to F.  The Gram matrix
 M^T M may be singular, so the system is solved with np.linalg.lstsq; any
-solution gives a minimizing step along the working set.  A nonzero step is
-cut at the first blocking row, which joins the working set.  At a zero step
-the multipliers decide: the general rows' are -2 nu, the bound rows'
-follow from the gradient.  The row with the most negative multiplier
-leaves the working set; when none is negative, x is a KKT point and hence
-a global minimum (the problem is convex), which the KKT residual
-certifies.
+solution gives a minimizing step along the working set.  Where A is square
+and nonsingular the step is 0, and only A^T nu = M_F^T (w - M x) is
+solved.  A nonzero step is cut at the first blocking row, which joins the
+working set.  At a zero step the multipliers decide: the general rows' are
+-2 nu, the bound rows' follow from the gradient.  The row with the most
+negative multiplier leaves the working set; when none is negative, x is a
+KKT point and hence a global minimum (the problem is convex), which the
+KKT residual certifies.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+_MAX_ITER = 400  # active-set iterations before a solve counts as not converged
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ def kkt_residual(m, w, gmat, h, x, active: list[int]) -> float:
     return max(stat, comp, max(feas, 0.0))
 
 
-def solve_lsq_qp(m, w, gmat, h, x0, max_iter: int = 400) -> QPResult:
+def solve_lsq_qp(m, w, gmat, h, x0) -> QPResult:
     """Active-set minimization of ||M x - w||^2 over {x : G x >= h}.
 
     x0 must be feasible.  A blocking row always enters the working set
@@ -110,25 +113,30 @@ def solve_lsq_qp(m, w, gmat, h, x0, max_iter: int = 400) -> QPResult:
             if np.linalg.matrix_rank(trial, tol=1e-12) == len(general) + 1:
                 enter(i)
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         free = np.flatnonzero(fixed_by < 0)
         nf, ne = free.size, len(general)
         a = gmat[general][:, free]
-        kkt = np.zeros((nf + ne, nf + ne))
-        kkt[:nf, :nf] = gram[free[:, None], free]
-        kkt[:nf, nf:] = a.T
-        kkt[nf:, :nf] = a
-        rhs = np.zeros(nf + ne)
-        rhs[:nf] = (mtw - gram @ x)[free]
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+        rhs = (mtw - gram @ x)[free]
         d = np.zeros(n)
-        d[free] = sol[:nf]
+        if ne >= nf:
+            # Working rows of rank nf fix every free variable, so the step is 0.
+            # The KKT system can be too ill conditioned to return that: lstsq
+            # then gives roundoff steps the zero-step test never accepts.
+            nu, _, rank, _ = np.linalg.lstsq(a.T, rhs, rcond=None)
+        if ne < nf or rank < nf:
+            kkt = np.zeros((nf + ne, nf + ne))
+            kkt[:nf, :nf] = gram[free[:, None], free]
+            kkt[:nf, nf:] = a.T
+            kkt[nf:, :nf] = a
+            sol, *_ = np.linalg.lstsq(kkt, np.concatenate([rhs, np.zeros(ne)]), rcond=None)
+            d[free], nu = sol[:nf], sol[nf:]
 
         if np.abs(d).max() <= 1e-13 * max(1.0, np.abs(x).max()):
             if not work.any():
                 return QPResult(x, it, True, (), (m, w, gmat, h))
             grad = 2.0 * (gram @ x - mtw)
-            lam_general = -2.0 * sol[nf:]
+            lam_general = -2.0 * nu
             fixed = np.flatnonzero(fixed_by >= 0)
             rows = fixed_by[fixed]
             lam_bound = (grad[fixed] - lam_general @ gmat[general][:, fixed]) / gmat[rows, fixed]
@@ -160,4 +168,4 @@ def solve_lsq_qp(m, w, gmat, h, x0, max_iter: int = 400) -> QPResult:
             enter(blocker)
 
     active = tuple(int(i) for i in np.flatnonzero(work))
-    return QPResult(x, max_iter, False, active, (m, w, gmat, h))
+    return QPResult(x, _MAX_ITER, False, active, (m, w, gmat, h))

@@ -96,14 +96,20 @@ def test_adc_full_damping_worst_case():
 
 @pytest.mark.parametrize("constraint", sa.CONSTRAINT_KINDS)
 def test_pauli_mixture_without_identity_is_reproduced(constraint):
-    # Fidelity 0 under both constraints; roundoff in sum(p) must not push
-    # the honest mixture onto a single Pauli.
+    # Fidelity 0 (or one ulp above it) under both constraints.  Roundoff in
+    # F and sum(p) must not push the honest mixture onto a single Pauli, and
+    # a blend toward X must not stand in for a roundoff repair where F is
+    # itself of the order of roundoff.
     probs = np.array([0.2, 0.5, 0.3])
     chi = sa.mixture_chi(sa.MixtureParams("pc", probs))
     r = sa.solve(sa.ApproximationProblem(chi, "pc", constraint))
-    assert r.distance == pytest.approx(0.0, abs=1e-12)
-    assert r.f_model <= r.f_target
     assert np.allclose(r.params.probs, probs, atol=1e-12)
+    for w in [probs, *np.random.default_rng(0).dirichlet(np.ones(3), size=200)]:
+        chi = sa.mixture_chi(sa.MixtureParams("pc", w / w.sum()))
+        for model in sa.MODELS:
+            r = sa.solve(sa.ApproximationProblem(chi, model, constraint))
+            assert r.distance <= 1e-12, (w, model)
+            assert r.f_model <= r.f_target, (w, model)
 
 
 @pytest.mark.parametrize(

@@ -97,8 +97,6 @@ def test_fidelity_coefficients():
     for gen, c in zip(gens, coeffs):
         assert c == expected[gen.family]
     assert np.all(sa.identity_fidelity_coefficients("pc") == 0.0)
-    with pytest.raises(ValueError, match="linear form"):
-        sa.identity_fidelity_coefficients("pc", kind="worst")
 
 
 @pytest.mark.parametrize("model", sa.MODELS)

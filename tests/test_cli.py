@@ -9,6 +9,24 @@ import stabapprox as sa
 from stabapprox import cli
 
 
+CSV_COLUMNS = (
+    "target_kind",
+    "param_gamma",
+    "param_phi",
+    "param_p",
+    "model",
+    "constraint",
+    "distance",
+    "f_target",
+    "f_model",
+    "support",
+    "converged",
+    "restarts_used",
+    "seed",
+    "channel_index",
+)
+
+
 def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -17,8 +35,40 @@ def run_cli(capsys, argv):
 
 def read_rows(text):
     rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == list(cli.CSV_COLUMNS)
+    assert rows[0] == list(CSV_COLUMNS)
     return rows[1:]
+
+
+def test_csv_columns_are_the_run_record_fields():
+    assert cli.CSV_COLUMNS == CSV_COLUMNS
+
+
+def test_csv_row_round_trips_empty_bool_and_int_cells():
+    record = cli.RunRecord(
+        target_kind="random",
+        param_gamma=None,
+        param_phi=0.1,
+        param_p=None,
+        model="cc",
+        constraint="worst",
+        distance=1e-300,
+        f_target=0.5,
+        f_model=float("inf"),
+        support="X=0.5;S+z=0.25",
+        converged=False,
+        restarts_used=15,
+        seed=None,
+        channel_index=0,
+    )
+    row = record.to_csv_row()
+    assert row == ["random", "", "0.1", "", "cc", "worst", "1e-300", "0.5", "inf",
+                   "X=0.5;S+z=0.25", "false", "15", "", "0"]
+    parsed = cli.parse_csv_row(row)
+    assert parsed == record
+    assert parsed.converged is False
+    assert cli.parse_csv_row(row[:10] + ["true"] + row[11:]).converged is True
+    assert type(parsed.restarts_used) is int and type(parsed.channel_index) is int
+    assert type(parsed.param_phi) is float
 
 
 def test_approx_adc_pmc_json(capsys):
@@ -233,6 +283,23 @@ def test_bloch_section_target_column(capsys):
     assert south[2] == pytest.approx(-1.0)  # z_in
     assert south[3] == pytest.approx(0.0, abs=1e-12)  # x_target
     assert south[4] == pytest.approx(-0.5, abs=1e-10)  # z_target = 2 gamma - 1
+
+
+@pytest.mark.parametrize("constraint", sa.CONSTRAINT_KINDS)
+def test_bloch_section_of_a_chi_file_matches_the_built_target(tmp_path, capsys, constraint):
+    path = tmp_path / "adc.json"
+    cli.save_chi_file(sa.kraus_to_chi(sa.adc(sa.AdcSpec(0.25))), str(path))
+    tables = []
+    for target in (["--target", "adc", "--gamma", "0.25"], ["--target", "file", "--file", str(path)]):
+        code, out, _ = run_cli(
+            capsys,
+            ["bloch-section", *target, "--model", "pmc", "--constraint", constraint,
+             "--points", "8"],
+        )
+        assert code == 0
+        tables.append(np.array(list(csv.reader(io.StringIO(out)))[1:], dtype=float))
+    assert tables[0].shape == (8, len(cli.BLOCH_COLUMNS))
+    assert np.allclose(tables[0], tables[1], rtol=0, atol=1e-12)
 
 
 def test_bloch_section_identity_model_matches_input(capsys):

@@ -26,6 +26,18 @@ def test_identity_target_with_dependent_honesty_row(model):
     assert res.active == tuple(range(len(x0)))
 
 
+def test_working_rows_that_fix_every_free_variable_give_a_zero_step():
+    # At the first descent QP of this cc target two nearly parallel working
+    # rows (KKT condition number about 1e7) hold both free variables; lstsq
+    # on the KKT system returned roundoff steps above the zero-step test
+    # until the iteration budget ran out.
+    chi = sa.random_chi_batch(sa.RandomChannelSpec(seed=4101071, count=1))[0]
+    r = sa.solve(sa.ApproximationProblem(chi, "cc", "worst"))
+    assert r.converged
+    assert r.f_model <= r.f_target
+    assert r.distance == pytest.approx(0.0574688, abs=1e-7)
+
+
 @pytest.mark.parametrize(
     "model, label",
     [(model, "X") for model in sa.MODELS] + [("pmc", "T|0>"), ("cmc", "T|0>")],
