@@ -28,6 +28,10 @@ simplex with one linear honesty row.
   QP's process matrix is unique and fixes the next witness, so the descent
   could only find that end again.  Both stops count as converged.
 
+Each answer is made honest on the row of its witness input (r = 0 under
+"avg"): a fidelity on one input bounds the worst-case fidelity from above,
+so the repair is linear and minimises no fidelity.
+
 The target enters only through its process matrix (chi_fidelity_quadratic).
 """
 
@@ -196,14 +200,15 @@ def _finish(
     return replace(result, support=tuple(extract_support(result)))
 
 
-def _honest_probs(x: np.ndarray, fidelity, f_target: float):
+def _honest_probs(x: np.ndarray, row: np.ndarray, f_target: float):
     """(probs, f_model) from a QP solution, with probs >= 0, sum(probs) <= 1
-    and f_model = fidelity(probs)[0] <= f_target exactly in floating point.
+    and f_model = 1 - row @ probs <= f_target exactly in floating point.
 
-    fidelity(p) returns (F, a, F_a): the mixture's fidelity, and a generator
-    a whose fidelity F_a on the input that sets F is below F.  The blend
-    (1 - t) p + t e_a lowers F on that input to at most (1 - t) F + t F_a
-    and keeps sum(p) <= 1.
+    row is the honesty row of a witness input (the average row is r = 0), so
+    F = 1 - row @ p is the mixture's fidelity there, an upper bound on its
+    worst-case fidelity.  The blend (1 - t) p + t e_a toward a = argmax(row),
+    of fidelity F_a = 1 - row[a], lowers F to (1 - t) F + t F_a and keeps
+    sum(p) <= 1.
 
     The QP meets the simplex and honesty rows only to within roundoff.  For
     a margin delta (0 first, then doubling from machine epsilon) the
@@ -217,11 +222,13 @@ def _honest_probs(x: np.ndarray, fidelity, f_target: float):
     next margin is tried, and only if every margin fails is p replaced by
     e_a.
     """
+    a = int(np.argmax(row))
+    f_a = 1.0 - float(row[a])
     base = np.clip(x, 0.0, None)
     delta = 0.0
     while delta <= _HONESTY_MARGIN_MAX:
         probs = (1.0 - delta) * base
-        f_model, a, f_a = fidelity(probs)
+        f_model = 1.0 - float(row @ probs)
         excess = f_model - f_target + delta
         if excess > 0.0:
             gap = f_model - f_a
@@ -231,18 +238,15 @@ def _honest_probs(x: np.ndarray, fidelity, f_target: float):
                 probs[a] += t
             elif f_model > f_target:
                 probs[a] += max(1.0 - float(probs.sum()), 0.0)
-            f_model = fidelity(probs)[0]
+            f_model = 1.0 - float(row @ probs)
         if f_model <= f_target and float(probs.sum()) <= 1.0:
             return probs, f_model
         delta = max(2.0 * delta, np.finfo(float).eps)
-    probs = np.zeros_like(base)
-    probs[a] = 1.0
-    f_model = fidelity(probs)[0]
-    if f_model > f_target:
+    if f_a > f_target:
         raise SolverError(
             f"no honest mixture within roundoff of the QP solution (f_target {f_target!r})"
         )
-    return probs, f_model
+    return np.eye(base.size)[a], f_a  # e_a
 
 
 def _solve_qp(m, w, gmat, h, x0):
@@ -260,19 +264,14 @@ def _solve_average(problem: ApproximationProblem) -> ApproximationResult:
     m, w, gmat, h, x0 = average_qp_data(problem.target, problem.model)
     res = _solve_qp(m, w, gmat, h, x0)
     f_target = float(problem.target.matrix[0, 0].real) / 2.0
-    dvec = gmat[-1]
-
-    def fidelity(p):  # generator 0 is Pauli X, with coefficient 0
-        return 1.0 - float(dvec @ p), 0, 0.0
-
-    probs, f_model = _honest_probs(res.x, fidelity, f_target)
+    probs, f_model = _honest_probs(res.x, gmat[-1], f_target)
     return _finish(problem, probs, f_target, f_model, True, res.iterations, 0)
 
 
-def _generator_fidelities(model: str, r: np.ndarray) -> np.ndarray:
-    """q_a(r): each generator's fidelity integrand on the input r."""
+def _honesty_row(model: str, r: np.ndarray) -> np.ndarray:
+    """1 - q_a(r), with q_a(r) each generator's fidelity integrand on the input r."""
     hs, gs, cs = generator_quadratics(model)
-    return hs @ r @ r + 2.0 * (gs @ r) + cs
+    return 1.0 - (hs @ r @ r + 2.0 * (gs @ r) + cs)
 
 
 def _worst_input(model: str, p: np.ndarray) -> tuple[float, np.ndarray]:
@@ -291,47 +290,46 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
     n = m.shape[1]
     h[-1] = 1.0 - f_target
 
-    def fidelity(p):  # a sum of squares: a value below 0 is roundoff
-        f, r = _worst_input(model, p)
-        q = _generator_fidelities(model, r)
-        a = int(np.argmin(q))
-        return max(f, 0.0), a, float(q[a])
-
     def objective(p):
         return float(np.sum((m @ p - w) ** 2)) / 8.0
 
-    def honest(p, *info):  # (distance, probs, f_model, *info) of p made honest
-        probs, f_model = _honest_probs(p, fidelity, f_target)
-        return (objective(probs), probs, f_model, *info)
+    def honest(p, row, *info):  # (distance, probs, f_row, *info) of p made honest on row
+        probs, f_row = _honest_probs(p, row, f_target)
+        return (objective(probs), probs, f_row, *info)
 
-    # The simplex-only optimum bounds every honest distance from below: if making
-    # it honest costs at most a stalled step, no descent can do better.
+    def finish(probs, f_row, *info):
+        # Both values are the integrand at a unit input: the lower is the better minimum.
+        f_model = max(min(_worst_input(model, probs)[0], f_row), 0.0)
+        return _finish(problem, probs, f_target, f_model, *info)
+
+    # The simplex-only optimum bounds every honest distance from below: if making it
+    # honest on its worst input costs at most a stalled step, no descent can do better.
     p = _solve_qp(m, w, avg_rows[:-1], h[:-1], np.zeros(n)).x
-    distance, probs, f_model = honest(p)
-    if distance - objective(p) <= _DESCENT_DISTANCE_STALL:
-        return _finish(problem, probs, f_target, f_model, True, 1, 0)
     _, r_free = _worst_input(model, p)
+    row = _honesty_row(model, r_free)
+    if row.max() >= h[-1]:  # else no mixture is honest on r_free
+        distance, probs, f_row = honest(p, row)
+        if distance - objective(p) <= _DESCENT_DISTANCE_STALL:
+            return finish(probs, f_row, True, 1, 0)
 
     gmat = np.array(avg_rows)
     starts = np.vstack([r_free, _START_WITNESSES])
-    ends = []
-    end_chis = []
-    first_rows = []
+    ends, end_chis, first_rows = [], [], []
     for r in starts:
-        row = 1.0 - _generator_fidelities(model, r)
+        row = _honesty_row(model, r)
         # A descent is fixed by its first row (the stall test cannot pass at its
         # first QP), so a repeated row would repeat an end already in ends.
         if any(np.array_equal(row, seen) for seen in first_rows):
             continue
         first_rows.append(row)
-        gmat[-1] = row
-        a = int(np.argmax(gmat[-1]))
-        if gmat[-1, a] < h[-1]:
+        a = int(np.argmax(row))
+        if row[a] < h[-1]:
             continue  # no mixture is honest on this input
         p = np.zeros(n)
-        p[a] = h[-1] / gmat[-1, a]
+        p[a] = h[-1] / row[a]
         prev = np.inf
         for qps in range(1, _DESCENT_MAX_QPS + 1):
+            gmat[-1] = row
             p = _solve_qp(m, w, gmat, h, p).x
             # The QP's chi is unique and fixes the next witness, so a descent
             # whose chi has come back to an earlier end's can only find that end.
@@ -345,18 +343,19 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
                 prev - value <= _DESCENT_DISTANCE_STALL
                 and float(np.abs(r_next - r).max()) <= _DESCENT_WITNESS_STALL
             )
-            r, prev = r_next, value
-            gmat[-1] = 1.0 - _generator_fidelities(model, r)
             if converged:
                 break
+            r, prev = r_next, value
+            row = _honesty_row(model, r)
         end_chis.append(chi)
-        # Ends are compared once honest: an end that meets its row only to
-        # within roundoff can cost far more (ADC gamma = 1, cc: 0.5 vs 0.25).
-        ends.append(honest(p, qps, converged))
+        # Ends are compared once honest on their last QP's row, gmat[-1]: an end
+        # that meets it only to within roundoff can cost far more (ADC gamma = 1,
+        # cc: 0.5 vs 0.25).
+        ends.append(honest(p, gmat[-1], qps, converged))
     if not ends:
         raise SolverError("no start witness admits an honest mixture")
-    _, probs, f_model, qps, converged = min(ends, key=lambda end: end[0])
-    return _finish(problem, probs, f_target, f_model, converged, qps, len(starts))
+    _, probs, f_row, qps, converged = min(ends, key=lambda end: end[0])
+    return finish(probs, f_row, converged, qps, len(starts))
 
 
 def solve(problem: ApproximationProblem) -> ApproximationResult:
@@ -372,7 +371,9 @@ def solve(problem: ApproximationProblem) -> ApproximationResult:
     `converged` says whether the winning descent met its stopping rule
     before its QP budget ran out: it stalled, or its mixture's process
     matrix came within 1e-4 of an earlier descent's end.  Both paths are
-    deterministic and report f_model <= f_target exactly.
+    deterministic and make each answer honest exactly on its witness row;
+    under "worst", f_model is the lower of the fidelity on that row and the
+    minimum over pure inputs.
     """
     if problem.constraint not in CONSTRAINT_KINDS:
         raise ValueError(

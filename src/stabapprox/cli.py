@@ -52,7 +52,8 @@ from .catalog import MODELS, mixture_chi
 from .channels import ChiMatrix, apply_chi, bloch_from_density, density_from_bloch
 from .channels import identity_chi, kraus_to_chi, validate_cptp
 from .metrics import hs_distance
-from .targets import AdcSpec, GenerationError, PolSpec, adc, pol_xy, random_chi
+from .targets import AdcSpec, GenerationError, PolSpec, RandomChannelSpec, adc, pol_xy
+from .targets import random_chi_batch
 
 BLOCH_COLUMNS = ("theta", "x_in", "z_in", "x_target", "z_target", "x_model", "z_model")
 
@@ -146,8 +147,6 @@ def load_chi_file(path: str) -> ChiMatrix:
     """Read a 4x4 process matrix from a JSON file of 16 row-major entries."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if isinstance(data, dict) and "chi" in data:
-        data = data["chi"]
     if not isinstance(data, list) or len(data) != 16:
         raise ValueError("process-matrix file must hold 16 row-major entries")
     entries = []
@@ -256,7 +255,7 @@ def _summary(rows: list[RunRecord]) -> dict:
 
 
 def cmd_random(args) -> int:
-    chis = [random_chi(np.random.default_rng(args.seed + i)) for i in range(args.count)]
+    chis = random_chi_batch(RandomChannelSpec(args.seed, args.count))
     results = solve_batch(chis, MODELS, args.constraint)
     _raise_first_error(results)
     identity = identity_chi()
@@ -337,8 +336,8 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _add_target_flags(p: argparse.ArgumentParser, kinds=("adc", "pol", "file")) -> None:
-    p.add_argument("--target", choices=kinds, required=True)
+def _add_target_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--target", choices=("adc", "pol", "file"), required=True)
     p.add_argument("--gamma", type=float, help="damping strength for adc")
     p.add_argument("--phi", type=float, help="polarization angle for pol")
     p.add_argument("--p", type=float, help="error probability for pol")

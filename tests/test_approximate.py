@@ -257,7 +257,8 @@ def test_worst_case_descends_once_per_distinct_start_row(monkeypatch):
     # the start witnesses +-e_i, and +-d for each cube diagonal d (on pc all
     # 8 diagonals), give one honesty row: their descents would repeat one
     # another.  pmc and cmc break that symmetry.  Each descent end is made
-    # honest once, after the one call for the simplex-only optimum.
+    # honest once, on its last QP's row, after the one call for the
+    # simplex-only optimum.
     approximate = sa.approximate
     calls = []
     honest_probs = approximate._honest_probs
@@ -325,6 +326,66 @@ def test_worst_case_descent_stops_where_it_rejoins_an_earlier_end(monkeypatch):
     assert cut_qps < full_qps
     for a, b in zip(cut, full):
         assert a.distance == pytest.approx(b.distance, abs=1e-12), a.model
+
+
+def worst_repair_targets():
+    adc = adc_problem(0.25, "pc").target
+    return [adc, *sa.random_chi_batch(sa.RandomChannelSpec(seed=2026, count=2))]
+
+
+def test_honesty_repair_makes_no_worst_fidelity_call(monkeypatch):
+    # Every answer is made honest on the honesty row of its witness input,
+    # a linear certificate, so the repair never minimises a fidelity again.
+    approximate = sa.approximate
+    inside, counts = [False], {"repairs": 0, "minimisations": 0}
+    honest_probs = approximate._honest_probs
+    min_quadratic_form = approximate.min_quadratic_form
+
+    def repair(*args):
+        counts["repairs"] += 1
+        inside[0] = True
+        try:
+            return honest_probs(*args)
+        finally:
+            inside[0] = False
+
+    def minimise(*args, **kwargs):
+        counts["minimisations"] += inside[0]
+        return min_quadratic_form(*args, **kwargs)
+
+    monkeypatch.setattr(approximate, "_honest_probs", repair)
+    monkeypatch.setattr(approximate, "min_quadratic_form", minimise)
+    for chi, model in itertools.product(worst_repair_targets(), sa.MODELS):
+        result = sa.solve(sa.ApproximationProblem(chi, model, "worst"))
+        assert result.f_model <= result.f_target, model
+    assert counts["repairs"] > 0
+    assert counts["minimisations"] == 0
+
+
+def test_worst_f_model_is_the_mixture_worst_fidelity():
+    # f_model is the lower of the fidelity on the witness row and the
+    # minimum over pure inputs, so it matches the mixture's worst fidelity.
+    targets = [*worst_repair_targets(), adc_problem(1.0, "pc").target]
+    for chi, model in itertools.product(targets, sa.MODELS):
+        result = sa.solve(sa.ApproximationProblem(chi, model, "worst"))
+        quadratic = sa.chi_fidelity_quadratic(sa.mixture_chi(result.params).matrix)
+        exact = sa.metrics.worst_of_quadratic(*quadratic)[0]
+        assert result.f_model == pytest.approx(exact, abs=1e-12), model
+
+
+@pytest.mark.parametrize("turns", [0.9, 0.99, 1.0])
+def test_worst_case_of_rotations_near_a_half_turn(turns):
+    # About (1,1,1)/sqrt(3) near a half turn, no cc or cmc mixture is honest
+    # on the simplex-only optimum's worst input, so that optimum cannot be
+    # repaired on its row; the solver must descend instead.
+    axis = sum(sa.PAULIS[1:]) / np.sqrt(3.0)
+    theta = turns * np.pi
+    u = np.cos(theta / 2.0) * np.eye(2) - 1j * np.sin(theta / 2.0) * axis
+    chi = sa.kraus_to_chi(sa.KrausChannel((u,)))
+    for model in sa.MODELS:
+        result = sa.solve(sa.ApproximationProblem(chi, model, "worst"))
+        assert result.converged, model
+        assert result.f_model <= result.f_target, model
 
 
 def test_pol_average_and_worst_agree():

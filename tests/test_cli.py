@@ -163,6 +163,14 @@ def test_sweep_pol_cc_has_quarter_pi_period(capsys):
         assert normalized[k] == pytest.approx(normalized[k + 4], abs=1e-6)
 
 
+def test_sweep_pol_degrees_matches_radians(capsys):
+    sweep = ["sweep", "--target", "pol", "--min", "0", "--steps", "5", "--p", "0.1"]
+    code_deg, out_deg, _ = run_cli(capsys, sweep + ["--max", "90", "--degrees"])
+    code_rad, out_rad, _ = run_cli(capsys, sweep + ["--max", "1.5707963267948966"])
+    assert code_deg == code_rad == 0
+    assert out_deg == out_rad
+
+
 def test_sweep_flag_validation(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--target", "adc", "--min", "0", "--max", "1", "--steps", "1"])
@@ -389,6 +397,11 @@ def test_input_error_exit_codes(tmp_path, capsys):
     broken.write_text("[1, 2, 3]")
     code, _, err = run_cli(capsys, ["validate", "--file", str(broken)])
     assert code == 2 and "16" in err
+    wrapped = tmp_path / "wrapped.json"  # an object around the 16 entries
+    cli.save_chi_file(sa.identity_chi(), str(wrapped))
+    wrapped.write_text(json.dumps({"chi": json.loads(wrapped.read_text())}))
+    code, _, err = run_cli(capsys, ["validate", "--file", str(wrapped)])
+    assert code == 2 and "16 row-major entries" in err
 
 
 def test_solver_and_generation_failure_exit_codes(capsys, monkeypatch):
@@ -404,6 +417,6 @@ def test_solver_and_generation_failure_exit_codes(capsys, monkeypatch):
     def boom_gen(*args, **kwargs):
         raise sa.GenerationError("budget exhausted")
 
-    monkeypatch.setattr(cli, "random_chi", boom_gen)
+    monkeypatch.setattr(sa.targets, "random_chi", boom_gen)
     code, _, err = run_cli(capsys, ["random", "--count", "1", "--seed", "1"])
     assert code == 4 and "generation failure" in err
