@@ -6,8 +6,8 @@ constraint that the mixture's identity fidelity does not exceed the
 target's (the approximation never underestimates the error), plus the
 simplex bounds on the probabilities.
 
-Both constraint kinds reduce to the same convex QP: ||m p - w||^2 over the
-simplex with one linear honesty row.
+Both constraint kinds reduce to the same convex QP, ||m p - w||^2 over the
+simplex with one linear honesty row, set up once per solve.
 
 * "avg": the average fidelity is linear in the probabilities, so the
   honesty row is sum_a (1 - c_a) p_a >= 1 - F_target and one QP gives the
@@ -23,10 +23,12 @@ simplex with one linear honesty row.
   fixed by its first row, so a start whose row repeats an earlier start's
   row is not descended again (without a measurement generator q_a(r) =
   q_a(-r), so r and -r share a row); restarts_used still counts all 15
-  start witnesses.  A descent stops when it stalls, or once its mixture's
-  process matrix comes within 1e-4 (largest entry) of an earlier end's: the
-  QP's process matrix is unique and fixes the next witness, so the descent
-  could only find that end again.  Both stops count as converged.
+  start witnesses.  A descent stops, counted as converged, when it stalls,
+  when its next row is bitwise the row its last QP solved (a QP started at
+  its own optimum returns it), or once its mixture's process matrix comes
+  within 1e-4 (largest entry) of an earlier end's: the QP's process matrix
+  is unique and fixes the next witness, so the descent could only find that
+  end again.  iterations counts the QPs a descent solved.
 
 Each answer is made honest on the row of its witness input (r = 0 under
 "avg"): a fidelity on one input bounds the worst-case fidelity from above,
@@ -145,33 +147,40 @@ def _model_matrix(model: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _gram(model: str) -> np.ndarray:
+    """m^T m, the quadratic term of every QP on the model."""
+    return _read_only(_model_matrix(model).T @ _model_matrix(model))
+
+
+@lru_cache(maxsize=None)
 def _constraint_rows(model: str) -> np.ndarray:
-    """Rows p >= 0, -sum(p) >= -1 and the average honesty row 1 - c_a."""
+    """Rows -sum(p) >= -1 and the average honesty row 1 - c_a."""
     n = len(enumerate_generators(model))
     dvec = 1.0 - identity_fidelity_coefficients(model)
-    return _read_only(np.vstack([np.eye(n), -np.ones((1, n)), dvec]))
+    return _read_only(np.vstack([-np.ones((1, n)), dvec]))
+
+
+def _target_vector(target: ChiMatrix) -> np.ndarray:  # w of ||m p - w||^2
+    return _vec_real(target.matrix - identity_chi().matrix)
 
 
 def average_qp_data(target: ChiMatrix, model: str):
-    """QP data (m, w, gmat, h, x0) of the average-constraint problem.
+    """solve_lsq_qp's data (gram, mtw, rows, h, x0) of the average problem.
 
-    Objective ||m p - w||^2 equals 8 x the squared distance; the rows of
-    gmat encode p >= 0, sum(p) <= 1 and the honesty constraint
-    sum_a (1 - c_a) p_a >= 1 - F_target.  m and gmat are shared per model
-    and read-only.
+    x^T gram x - 2 mtw^T x is ||m x - w||^2 - ||w||^2, with ||m x - w||^2
+    8 x the squared distance; rows encode sum(p) <= 1 and the honesty row
+    sum_a (1 - c_a) p_a >= 1 - F_target.  gram and rows are shared per
+    model and read-only.
     """
     m = _model_matrix(model)
-    gmat = _constraint_rows(model)
+    rows = _constraint_rows(model)
     n = m.shape[1]
-    w = _vec_real(target.matrix - identity_chi().matrix)
     f_target = float(target.matrix[0, 0].real) / 2.0
-    h = np.zeros(n + 2)
-    h[n] = -1.0
-    h[n + 1] = 1.0 - f_target
+    h = np.array([-1.0, 1.0 - f_target])
     x0 = np.zeros(n)
     if f_target < 1.0:
         x0[0] = 1.0 - f_target  # generator 0 is Pauli X with coefficient 0
-    return m, w, gmat, h, x0
+    return _gram(model), m.T @ _target_vector(target), rows, h, x0
 
 
 def _finish(
@@ -249,10 +258,12 @@ def _honest_probs(x: np.ndarray, row: np.ndarray, f_target: float):
     return np.eye(base.size)[a], f_a  # e_a
 
 
-def _solve_qp(m, w, gmat, h, x0):
+def _solve_qp(gram, mtw, rows, h, x0):
+    # Resolved at call time, so that a wrapper installed on
+    # stabapprox.qp.solve_lsq_qp (the benchmark's tracer) sees every QP.
     from .qp import solve_lsq_qp
 
-    res = solve_lsq_qp(m, w, gmat, h, x0)
+    res = solve_lsq_qp(gram, mtw, rows, h, x0)
     if not res.converged:
         raise SolverError(
             f"active-set QP did not converge (kkt residual {res.kkt_residual:.3e})"
@@ -261,10 +272,10 @@ def _solve_qp(m, w, gmat, h, x0):
 
 
 def _solve_average(problem: ApproximationProblem) -> ApproximationResult:
-    m, w, gmat, h, x0 = average_qp_data(problem.target, problem.model)
-    res = _solve_qp(m, w, gmat, h, x0)
+    gram, mtw, rows, h, x0 = average_qp_data(problem.target, problem.model)
+    res = _solve_qp(gram, mtw, rows, h, x0)
     f_target = float(problem.target.matrix[0, 0].real) / 2.0
-    probs, f_model = _honest_probs(res.x, gmat[-1], f_target)
+    probs, f_model = _honest_probs(res.x, rows[-1], f_target)
     return _finish(problem, probs, f_target, f_model, True, res.iterations, 0)
 
 
@@ -278,24 +289,25 @@ def _worst_input(model: str, p: np.ndarray) -> tuple[float, np.ndarray]:
     """(worst fidelity, witness Bloch vector) of the mixture with raw
     probabilities p."""
     hs, gs, cs = generator_quadratics(model)
-    h = np.tensordot(p, hs, axes=1)
+    h = (p @ hs.reshape(p.size, 9)).reshape(3, 3)
     c = 1.0 - float(p.sum()) + float(p @ cs)
     return min_quadratic_form(h, p @ gs, c, domain="pure")
 
 
 def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
     model = problem.model
-    m, w, avg_rows, h, _ = average_qp_data(problem.target, model)
+    m, w = _model_matrix(model), _target_vector(problem.target)
+    gram, mtw, avg_rows, h, _ = average_qp_data(problem.target, model)
     f_target = worst_of_quadratic(*chi_fidelity_quadratic(problem.target.matrix))[0]
     n = m.shape[1]
     h[-1] = 1.0 - f_target
 
-    def objective(p):
-        return float(np.sum((m @ p - w) ** 2)) / 8.0
+    def objective(chi):  # distance squared of the mixture with process matrix chi
+        return float(np.sum((chi - w) ** 2)) / 8.0
 
     def honest(p, row, *info):  # (distance, probs, f_row, *info) of p made honest on row
         probs, f_row = _honest_probs(p, row, f_target)
-        return (objective(probs), probs, f_row, *info)
+        return (objective(m @ probs), probs, f_row, *info)
 
     def finish(probs, f_row, *info):
         # Both values are the integrand at a unit input: the lower is the better minimum.
@@ -304,17 +316,17 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
 
     # The simplex-only optimum bounds every honest distance from below: if making it
     # honest on its worst input costs at most a stalled step, no descent can do better.
-    p = _solve_qp(m, w, avg_rows[:-1], h[:-1], np.zeros(n)).x
+    p = _solve_qp(gram, mtw, avg_rows[:-1], h[:-1], np.zeros(n)).x
     _, r_free = _worst_input(model, p)
     row = _honesty_row(model, r_free)
     if row.max() >= h[-1]:  # else no mixture is honest on r_free
         distance, probs, f_row = honest(p, row)
-        if distance - objective(p) <= _DESCENT_DISTANCE_STALL:
+        if distance - objective(m @ p) <= _DESCENT_DISTANCE_STALL:
             return finish(probs, f_row, True, 1, 0)
 
-    gmat = np.array(avg_rows)
+    rows = np.array(avg_rows)
     starts = np.vstack([r_free, _START_WITNESSES])
-    ends, end_chis, first_rows = [], [], []
+    ends, end_chis, first_rows = [], np.empty((0, m.shape[0])), []
     for r in starts:
         row = _honesty_row(model, r)
         # A descent is fixed by its first row (the stall test cannot pass at its
@@ -329,29 +341,31 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
         p[a] = h[-1] / row[a]
         prev = np.inf
         for qps in range(1, _DESCENT_MAX_QPS + 1):
-            gmat[-1] = row
-            p = _solve_qp(m, w, gmat, h, p).x
+            rows[-1] = row
+            p = _solve_qp(gram, mtw, rows, h, p).x
             # The QP's chi is unique and fixes the next witness, so a descent
             # whose chi has come back to an earlier end's can only find that end.
             chi = m @ p
-            converged = any(np.abs(chi - e).max() <= _DESCENT_END_MATCH for e in end_chis)
+            converged = bool((np.abs(end_chis - chi).max(axis=1) <= _DESCENT_END_MATCH).any())
             if converged:
                 break
-            value = objective(p)
+            value = objective(chi)
             _, r_next = _worst_input(model, p)
-            converged = (
+            row = _honesty_row(model, r_next)
+            # A stalled step ends the descent, and so does a repeated row: a QP
+            # started from its own optimum returns that optimum.
+            converged = np.array_equal(row, rows[-1]) or (
                 prev - value <= _DESCENT_DISTANCE_STALL
                 and float(np.abs(r_next - r).max()) <= _DESCENT_WITNESS_STALL
             )
             if converged:
                 break
             r, prev = r_next, value
-            row = _honesty_row(model, r)
-        end_chis.append(chi)
-        # Ends are compared once honest on their last QP's row, gmat[-1]: an end
+        end_chis = np.vstack([end_chis, chi])
+        # Ends are compared once honest on their last QP's row, rows[-1]: an end
         # that meets it only to within roundoff can cost far more (ADC gamma = 1,
         # cc: 0.5 vs 0.25).
-        ends.append(honest(p, gmat[-1], qps, converged))
+        ends.append(honest(p, rows[-1], qps, converged))
     if not ends:
         raise SolverError("no start witness admits an honest mixture")
     _, probs, f_row, qps, converged = min(ends, key=lambda end: end[0])
@@ -365,12 +379,13 @@ def solve(problem: ApproximationProblem) -> ApproximationResult:
     QP.  The worst-case path returns the best of the alternating descents
     over the witness input from a fixed set of start witnesses, where a
     start whose first honesty row repeats an earlier start's row is not
-    descended again: its `iterations` are the QPs of the winning descent,
-    `restarts_used` the number of start witnesses, repeated rows included
-    (0 when the simplex-only optimum is honest within a stalled step), and
-    `converged` says whether the winning descent met its stopping rule
-    before its QP budget ran out: it stalled, or its mixture's process
-    matrix came within 1e-4 of an earlier descent's end.  Both paths are
+    descended again: its `iterations` are the QPs the winning descent
+    solved, `restarts_used` the number of start witnesses, repeated rows
+    included (0 when the simplex-only optimum is honest within a stalled
+    step), and `converged` says whether the winning descent met its stopping
+    rule before its QP budget ran out: it stalled, its next honesty row was
+    the row its last QP solved, or its mixture's process matrix came within
+    1e-4 of an earlier descent's end.  Both paths are
     deterministic and make each answer honest exactly on its witness row;
     under "worst", f_model is the lower of the fidelity on that row and the
     minimum over pure inputs.

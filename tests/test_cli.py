@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -420,3 +421,29 @@ def test_solver_and_generation_failure_exit_codes(capsys, monkeypatch):
     monkeypatch.setattr(sa.targets, "random_chi", boom_gen)
     code, _, err = run_cli(capsys, ["random", "--count", "1", "--seed", "1"])
     assert code == 4 and "generation failure" in err
+
+
+def test_worst_random_answers_are_no_worse_than_the_reference(capsys):
+    # data/worst_random_seed5_count10.csv is the output of
+    # `random --count 10 --seed 5 --constraint worst` at commit 2c303c6.
+    # Solver changes may move answers by roundoff, but no distance may rise
+    # by more than 1e-12, and the target's fidelity, honesty, convergence
+    # and start count must stay as they were.
+    argv = ["random", "--count", "10", "--seed", "5", "--constraint", "worst"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    reference = Path(__file__).parent / "data" / "worst_random_seed5_count10.csv"
+    reference = read_rows(reference.read_text())
+    rows = read_rows(out)
+    assert len(rows) == len(reference) == 50
+    f_target = CSV_COLUMNS.index("f_target")
+    for row, ref in zip(rows, reference):
+        new, old = cli.parse_csv_row(row), cli.parse_csv_row(ref)
+        key = (new.channel_index, new.model)
+        assert key == (old.channel_index, old.model)
+        assert row[f_target] == ref[f_target], key
+        if new.model == "identity":
+            continue
+        assert new.distance <= old.distance + 1e-12, key
+        assert new.f_model <= new.f_target, key
+        assert (new.converged, new.restarts_used) == (old.converged, old.restarts_used), key
