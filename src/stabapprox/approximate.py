@@ -28,7 +28,9 @@ simplex with one linear honesty row, set up once per solve.
   its own optimum returns it), or once its mixture's process matrix comes
   within 1e-4 (largest entry) of an earlier end's: the QP's process matrix
   is unique and fixes the next witness, so the descent could only find that
-  end again.  iterations counts the QPs a descent solved.
+  end again.  From its third QP on, so does the limit Aitken's delta-squared
+  process predicts from its last two steps, where the second is shorter.
+  iterations counts the QPs a descent solved.
 
 Each answer is made honest on the row of its witness input (r = 0 under
 "avg"): a fidelity on one input bounds the worst-case fidelity from above,
@@ -294,6 +296,17 @@ def _worst_input(model: str, p: np.ndarray) -> tuple[float, np.ndarray]:
     return min_quadratic_form(h, p @ gs, c, domain="pure")
 
 
+def _descent_limits(trail: list[np.ndarray]) -> list[np.ndarray]:
+    """A descent's last chi and, where its last two steps shrink (linear
+    convergence), the limit Aitken's delta-squared process predicts."""
+    if len(trail) >= 3:
+        step = trail[-1] - trail[-2]
+        s1, s0 = np.linalg.norm(step), np.linalg.norm(trail[-2] - trail[-3])
+        if 0.0 < s1 < s0:
+            return [trail[-1], trail[-1] + step * (s1 / (s0 - s1))]
+    return trail[-1:]
+
+
 def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
     model = problem.model
     m, w = _model_matrix(model), _target_vector(problem.target)
@@ -326,27 +339,30 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
 
     rows = np.array(avg_rows)
     starts = np.vstack([r_free, _START_WITNESSES])
-    ends, end_chis, first_rows = [], np.empty((0, m.shape[0])), []
+    ends, end_chis, first_rows = [], np.empty((0, m.shape[0])), set()
     for r in starts:
         row = _honesty_row(model, r)
         # A descent is fixed by its first row (the stall test cannot pass at its
         # first QP), so a repeated row would repeat an end already in ends.
-        if any(np.array_equal(row, seen) for seen in first_rows):
+        if row.tobytes() in first_rows:
             continue
-        first_rows.append(row)
+        first_rows.add(row.tobytes())
         a = int(np.argmax(row))
         if row[a] < h[-1]:
             continue  # no mixture is honest on this input
         p = np.zeros(n)
         p[a] = h[-1] / row[a]
-        prev = np.inf
+        prev, trail = np.inf, []
         for qps in range(1, _DESCENT_MAX_QPS + 1):
             rows[-1] = row
             p = _solve_qp(gram, mtw, rows, h, p).x
             # The QP's chi is unique and fixes the next witness, so a descent
-            # whose chi has come back to an earlier end's can only find that end.
+            # whose chi has come back to an earlier end's can only find that
+            # end; so, once it converges linearly, can one whose limit has.
             chi = m @ p
-            converged = bool((np.abs(end_chis - chi).max(axis=1) <= _DESCENT_END_MATCH).any())
+            trail.append(chi)
+            gaps = np.abs(end_chis[:, None] - _descent_limits(trail)).max(axis=-1)
+            converged = bool((gaps <= _DESCENT_END_MATCH).any())
             if converged:
                 break
             value = objective(chi)
@@ -384,8 +400,9 @@ def solve(problem: ApproximationProblem) -> ApproximationResult:
     included (0 when the simplex-only optimum is honest within a stalled
     step), and `converged` says whether the winning descent met its stopping
     rule before its QP budget ran out: it stalled, its next honesty row was
-    the row its last QP solved, or its mixture's process matrix came within
-    1e-4 of an earlier descent's end.  Both paths are
+    the row its last QP solved, or its mixture's process matrix, or the
+    limit Aitken's delta-squared process predicts from its last two steps,
+    came within 1e-4 of an earlier descent's end.  Both paths are
     deterministic and make each answer honest exactly on its witness row;
     under "worst", f_model is the lower of the fidelity on that row and the
     minimum over pure inputs.

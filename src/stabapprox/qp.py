@@ -6,21 +6,22 @@ semidefinite: for G = M^T M and b = M^T w it is ||M x - w||^2 - ||w||^2.
 
 The bounds are implicit: a working bound fixes its variable at 0, and only
 the rows of R (general rows) are held with equality.  Each iteration solves
-one least-squares system, the KKT system of the step over the free
-variables F,
+one linear system, the KKT system of the step over the free variables F,
 
     [ G_FF   A^T ] [ d_F ]   [ (b - G x)_F ]
     [  A      0  ] [ nu  ] = [      0      ],
 
-with A the working rows restricted to F.  G may be singular, so lstsq
-solves it; any solution is a minimizing step along the working set.  Where
-A is square and nonsingular the step is 0 and only A^T nu = (b - G x)_F is
-solved.  A nonzero step is cut at the first blocking bound or row, which
-joins the working set.  At a zero step the rows' multipliers are -2 nu and
-a fixed variable's is its gradient entry less the rows' part; the most
-negative leaves the working set.  When none is negative, x is a KKT point
-and hence a global minimum (the problem is convex), which the KKT residual
-certifies.
+with A the working rows restricted to F, by LU (np.linalg.solve): lstsq
+truncates small singular values, and its steps just above the zero-step
+test stalled the method.  Where the system is singular (LinAlgError), as
+at an interior start with G_FF singular and no row held, lstsq gives a
+minimizing step.  Where A has at least |F| rows, lstsq first solves
+A^T nu = (b - G x)_F: at rank |F| the step is 0.  A nonzero step is cut
+at the first blocking bound or row, which joins the working set.  At a
+zero step the rows' multipliers are -2 nu and a fixed variable's is its
+gradient entry less the rows' part; the most negative leaves the working
+set.  When none is negative, x is a KKT point and hence a global minimum
+(the problem is convex), which the KKT residual certifies.
 """
 
 from __future__ import annotations
@@ -114,7 +115,10 @@ def solve_lsq_qp(gram, mtw, rows, h, x0) -> QPResult:
             kkt[:nf, nf:] = a.T
             kkt[nf:, :nf] = a
             rhs = np.concatenate([descent[free], np.zeros(ne)])
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+            try:
+                sol = np.linalg.solve(kkt, rhs)
+            except np.linalg.LinAlgError:  # singular, as at an interior start
+                sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
             d[free], nu = sol[:nf], sol[nf:]
 
         if np.abs(d).max() <= 1e-13 * max(1.0, np.abs(x).max()):
