@@ -17,20 +17,23 @@ simplex with one linear honesty row, set up once per solve.
   sum_a (1 - q_a(r)) p_a >= 1 - F_target, with q_a(r) the integrand of
   generator a; the average row is the case r = 0.  The worst-case problem
   is the minimum over unit r of that QP.  It is solved by alternating
-  descent from fixed start witnesses: p <- QP(r), then r <- the worst input
-  of p.  The previous p stays feasible for the new row, so the distance
-  never increases along a descent; the best descent wins.  A descent is
-  fixed by its first row, so a start whose row repeats an earlier start's
-  row is not descended again (without a measurement generator q_a(r) =
-  q_a(-r), so r and -r share a row); restarts_used still counts all 15
-  start witnesses.  A descent stops, counted as converged, when it stalls,
+  descent from start witnesses: p <- QP(r), then r <- the worst input of
+  p.  The first start is the worst input of the simplex-only optimum, or
+  12 points of its worst inputs where those form a circle.  The previous
+  p stays feasible for the new row, so the distance never increases along
+  a descent; the best descent wins.  A descent is fixed by its first row,
+  so a start whose row repeats an earlier start's row is not descended
+  again (without a measurement generator q_a(r) = q_a(-r), so r and -r
+  share a row); restarts_used still counts all 15 start witnesses, a
+  circle as one.  A descent stops, counted as converged, when it stalls,
   when its next row is bitwise the row its last QP solved (a QP started at
   its own optimum returns it), or once its mixture's process matrix comes
   within 1e-4 (largest entry) of an earlier end's: the QP's process matrix
   is unique and fixes the next witness, so the descent could only find that
   end again.  From its third QP on, so does the limit Aitken's delta-squared
-  process predicts from its last two steps, where the second is shorter.
-  iterations counts the QPs a descent solved.
+  process predicts from its last two steps, where the second is at most
+  0.9 times the first.  A descent that rejoins an end stops as that end
+  did: converged is the end's.  iterations counts the QPs a descent solved.
 
 Each answer is made honest on the row of its witness input (r = 0 under
 "avg"): a fidelity on one input bounds the worst-case fidelity from above,
@@ -81,6 +84,7 @@ _DESCENT_MAX_QPS = 200  # QPs per start before a descent is cut off
 _DESCENT_DISTANCE_STALL = 1e-15  # distance decrease of a stalled step
 _DESCENT_WITNESS_STALL = 1e-9  # witness move of a stalled step
 _DESCENT_END_MATCH = 1e-4  # chi gap (largest entry) at which a descent rejoins an end
+_DESCENT_RATIO_MAX = 0.9  # largest step ratio from which a descent's limit is predicted
 
 
 class SolverError(RuntimeError):
@@ -296,13 +300,32 @@ def _worst_input(model: str, p: np.ndarray) -> tuple[float, np.ndarray]:
     return min_quadratic_form(h, p @ gs, c, domain="pure")
 
 
+def _free_witnesses(model: str, p: np.ndarray) -> np.ndarray:
+    """Worst inputs of the mixture with raw probabilities p to descend from:
+    its witness or, where its worst inputs form a circle (its form is
+    degenerate on a plane, as on symmetric targets), 12 points of it 30
+    degrees apart, from the one nearest the first start witness off the
+    plane's normal.  eigh's basis of the plane is roundoff, and descents from
+    different points of the circle can end far apart."""
+    hs, gs, _ = generator_quadratics(model)
+    lam, q = np.linalg.eigh((p @ hs.reshape(p.size, 9)).reshape(3, 3))
+    b, r, plane = q.T @ (p @ gs), _worst_input(model, p)[1], q[:, :2]
+    tol, rho = 1e-13 * max(1.0, np.abs(lam).max(), np.linalg.norm(b)), np.linalg.norm(r @ plane)
+    if lam[1] - lam[0] > tol or np.abs(b[:2]).max() > tol or rho <= 1e-6:
+        return r[None]
+    x, y = next(s for s in _START_WITNESSES @ plane if np.hypot(*s) > 1e-6)
+    phi = np.arctan2(y, x) + np.pi / 6 * np.arange(12)
+    return r - plane @ (r @ plane) + rho * np.stack([np.cos(phi), np.sin(phi)], 1) @ plane.T
+
+
 def _descent_limits(trail: list[np.ndarray]) -> list[np.ndarray]:
-    """A descent's last chi and, where its last two steps shrink (linear
-    convergence), the limit Aitken's delta-squared process predicts."""
-    if len(trail) >= 3:
+    """A descent's last chi and, where its last two steps shrink by a ratio
+    of at most _DESCENT_RATIO_MAX (linear convergence), the limit Aitken's
+    delta-squared process predicts, at most 9 last steps further on."""
+    if len(trail) == 3:
         step = trail[-1] - trail[-2]
         s1, s0 = np.linalg.norm(step), np.linalg.norm(trail[-2] - trail[-3])
-        if 0.0 < s1 < s0:
+        if 0.0 < s1 <= _DESCENT_RATIO_MAX * s0:
             return [trail[-1], trail[-1] + step * (s1 / (s0 - s1))]
     return trail[-1:]
 
@@ -330,15 +353,15 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
     # The simplex-only optimum bounds every honest distance from below: if making it
     # honest on its worst input costs at most a stalled step, no descent can do better.
     p = _solve_qp(gram, mtw, avg_rows[:-1], h[:-1], np.zeros(n)).x
-    _, r_free = _worst_input(model, p)
-    row = _honesty_row(model, r_free)
-    if row.max() >= h[-1]:  # else no mixture is honest on r_free
+    frees = _free_witnesses(model, p)
+    row = _honesty_row(model, frees[0])
+    if row.max() >= h[-1]:  # else no mixture is honest on that input
         distance, probs, f_row = honest(p, row)
         if distance - objective(m @ p) <= _DESCENT_DISTANCE_STALL:
             return finish(probs, f_row, True, 1, 0)
 
     rows = np.array(avg_rows)
-    starts = np.vstack([r_free, _START_WITNESSES])
+    starts = np.vstack([frees, _START_WITNESSES])
     ends, end_chis, first_rows = [], np.empty((0, m.shape[0])), set()
     for r in starts:
         row = _honesty_row(model, r)
@@ -359,11 +382,13 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
             # The QP's chi is unique and fixes the next witness, so a descent
             # whose chi has come back to an earlier end's can only find that
             # end; so, once it converges linearly, can one whose limit has.
+            # A descent that rejoins an end stops as that end did.
             chi = m @ p
-            trail.append(chi)
+            trail = trail[-2:] + [chi]
             gaps = np.abs(end_chis[:, None] - _descent_limits(trail)).max(axis=-1)
-            converged = bool((gaps <= _DESCENT_END_MATCH).any())
-            if converged:
+            hit = (gaps <= _DESCENT_END_MATCH).any(axis=1)
+            if hit.any():
+                converged = ends[int(np.argmax(hit))][-1]
                 break
             value = objective(chi)
             _, r_next = _worst_input(model, p)
@@ -385,7 +410,7 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
     if not ends:
         raise SolverError("no start witness admits an honest mixture")
     _, probs, f_row, qps, converged = min(ends, key=lambda end: end[0])
-    return finish(probs, f_row, converged, qps, len(starts))
+    return finish(probs, f_row, converged, qps, 1 + len(_START_WITNESSES))
 
 
 def solve(problem: ApproximationProblem) -> ApproximationResult:
@@ -397,12 +422,13 @@ def solve(problem: ApproximationProblem) -> ApproximationResult:
     start whose first honesty row repeats an earlier start's row is not
     descended again: its `iterations` are the QPs the winning descent
     solved, `restarts_used` the number of start witnesses, repeated rows
-    included (0 when the simplex-only optimum is honest within a stalled
-    step), and `converged` says whether the winning descent met its stopping
-    rule before its QP budget ran out: it stalled, its next honesty row was
-    the row its last QP solved, or its mixture's process matrix, or the
+    included and a circle of worst inputs counted once (0 when the
+    simplex-only optimum is honest within a stalled step), and `converged`
+    says whether the winning descent met its stopping rule before its QP
+    budget ran out: it stalled, or its next honesty row
+    was the row its last QP solved, or its mixture's process matrix, or the
     limit Aitken's delta-squared process predicts from its last two steps,
-    came within 1e-4 of an earlier descent's end.  Both paths are
+    came within 1e-4 of an earlier descent's end that did.  Both paths are
     deterministic and make each answer honest exactly on its witness row;
     under "worst", f_model is the lower of the fidelity on that row and the
     minimum over pure inputs.

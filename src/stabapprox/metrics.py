@@ -10,8 +10,6 @@ by sampling.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .channels import ATOL, ChiMatrix, KrausChannel, operators_chi
@@ -106,21 +104,19 @@ def _sphere_argmin(lam: np.ndarray, b: np.ndarray) -> np.ndarray:
             u[int(np.argmax(bottom))] = np.sqrt(1.0 - n2)
             return u
 
-    # Python floats: numpy's per-call overhead dominates on 3-vectors.
-    bs, gap = b.tolist(), (lam - lam0).tolist()
-    s, acc = 0.0, 0.0
-    for bj, gj in zip(bs, gap):
-        acc += bj * bj
-        s = max(s, math.sqrt(acc) - gj)
-    live = [(bj, gj) for bj, gj in zip(bs, gap) if bj != 0.0]
+    gap = lam - lam0
+    s = max(float(np.max(np.sqrt(np.cumsum(b * b)) - gap)), 0.0)
+    live = b != 0.0
+    bl, gl = b[live], gap[live]
     for _ in range(_NEWTON_MAX_STEPS):
-        v = [(bj / (gj + s), gj + s) for bj, gj in live]
-        n2 = sum(vj * vj for vj, _ in v)
-        step = (math.sqrt(n2) - 1.0) * n2 / sum(vj * vj / dj for vj, dj in v)
+        v = bl / (gl + s)
+        n2 = float(v @ v)
+        step = (np.sqrt(n2) - 1.0) * n2 / float(v @ (v / (gl + s)))
         if not s + step > s:  # at the root to roundoff
             break
         s += step
-    u = np.array([-bj / (gj + s) if bj != 0.0 else 0.0 for bj, gj in zip(bs, gap)])
+    u = np.zeros(3)
+    u[live] = -bl / (gl + s)
     return u / float(np.linalg.norm(u))
 
 

@@ -13,9 +13,10 @@ one linear system, the KKT system of the step over the free variables F,
 
 with A the working rows restricted to F, by LU (np.linalg.solve): lstsq
 truncates small singular values, and its steps just above the zero-step
-test stalled the method.  Where the system is singular (LinAlgError), as
-at an interior start with G_FF singular and no row held, lstsq gives a
-minimizing step.  Where A has at least |F| rows, lstsq first solves
+test stalled the method.  lstsq solves it where LU fails or is unsound: a
+singular system (as at an interior start with G_FF singular), a residual
+above 1e-10 relative to the right-hand side, or a nonzero step that raises
+the objective.  Where A has at least |F| rows, lstsq first solves
 A^T nu = (b - G x)_F: at rank |F| the step is 0.  A nonzero step is cut
 at the first blocking bound or row, which joins the working set.  At a
 zero step the rows' multipliers are -2 nu and a fixed variable's is its
@@ -103,7 +104,7 @@ def solve_lsq_qp(gram, mtw, rows, h, x0) -> QPResult:
         nf, ne = free.size, len(general)
         a = rows[general][:, free]
         descent = mtw - gram @ x  # minus half the gradient
-        d = np.zeros(n)
+        d, zero = np.zeros(n), 1e-13 * max(1.0, np.abs(x).max())  # zero-step test
         if ne >= nf:
             # Working rows of rank nf fix every free variable, so the step is 0.
             # The KKT system can be too ill conditioned to return that: lstsq
@@ -118,10 +119,13 @@ def solve_lsq_qp(gram, mtw, rows, h, x0) -> QPResult:
             try:
                 sol = np.linalg.solve(kkt, rhs)
             except np.linalg.LinAlgError:  # singular, as at an interior start
+                sol = np.full(nf + ne, np.nan)  # fails both tests below
+            ok = np.linalg.norm(kkt @ sol - rhs) <= 1e-10 * np.linalg.norm(rhs)
+            if not (ok and (descent[free] @ sol[:nf] > 0.0 or np.abs(sol[:nf]).max() <= zero)):
                 sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
             d[free], nu = sol[:nf], sol[nf:]
 
-        if np.abs(d).max() <= 1e-13 * max(1.0, np.abs(x).max()):
+        if np.abs(d).max() <= zero:
             bounds = fixed.nonzero()[0]
             if not (bounds.size or ne):
                 return QPResult(x, it, True, (), problem)

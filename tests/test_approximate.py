@@ -496,6 +496,40 @@ def test_worst_case_of_rotations_near_a_half_turn_converge():
             assert result.f_model <= result.f_target, (axis, turns, model)
 
 
+#: The best distance descents from single points of the circle of worst
+#: inputs reach on the body-diagonal rotations below, cc and cmc; from
+#: other points they end at 0.0127 (0.7 turns) and 0.0521 (0.75 turns).
+BODY_DIAGONAL_BEST = {0.7: 0.0091081559809524839, 0.75: 0.048107400028562827}
+
+
+@pytest.mark.parametrize("turns", sorted(BODY_DIAGONAL_BEST))
+def test_worst_case_of_body_diagonal_rotations_agree(turns):
+    # Clifford conjugation maps the four body diagonals onto each other, so
+    # their rotations have one answer.  The simplex-only optimum's worst
+    # inputs form a circle about the axis, and where on it the descent
+    # starts decides the end: the solver descends from 12 points of it.
+    distances = []
+    for axis in [a for a in SYMMETRIC_AXES if 0 not in a]:
+        chi = rotation_chi(axis, turns)
+        for model in ("cc", "cmc"):
+            result = sa.solve(sa.ApproximationProblem(chi, model, "worst"))
+            assert result.converged and result.f_model <= result.f_target, (axis, model)
+            assert result.restarts_used == len(sa.approximate._START_WITNESSES) + 1
+            distances.append(result.distance)
+    assert max(distances) - min(distances) <= 1e-12
+    assert max(distances) <= BODY_DIAGONAL_BEST[turns] + 1e-12
+
+
+def test_worst_case_descent_that_rejoins_an_end_stops_as_that_end_did(monkeypatch):
+    # With two QPs per descent, the winner here rejoins after one QP an end
+    # whose descent ran out of QPs: it did not stop by its rule either.
+    monkeypatch.setattr(sa.approximate, "_DESCENT_MAX_QPS", 2)
+    chi = rotation_chi((1, 1, 1), 0.99)
+    result = sa.solve(sa.ApproximationProblem(chi, "cc", "worst"))
+    assert result.iterations == 1
+    assert not result.converged
+
+
 def test_pol_average_and_worst_agree():
     phi, p = np.pi / 5, 0.1
     for model in ("pc", "cc"):

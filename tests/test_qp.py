@@ -138,13 +138,11 @@ def test_random_rank_deficient_problem_that_stalls_converges():
     assert res.kkt_residual <= 1e-9
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="open QP defect: where the reduced Gram matrix is singular, steps "
-    "just above the zero-step test raise the objective",
-)
-def test_random_rank_deficient_problem_that_still_stalls_converges():
-    # Draw 141 of seed 2 (25 variables, rank 7, KKT condition number 6e4) is
-    # the one of 1500 draws (seeds 1-5) that runs out of iterations with the
-    # LU step; it converged while lstsq solved the KKT system.
-    assert solve_lsq_qp(*nth_random_problem(2, 141)).converged
+def test_random_problem_whose_lu_step_raises_the_objective_converges():
+    # Draw 141 of seed 2 (25 variables, rank 7, KKT condition number 6e4):
+    # one LU step of its KKT system, singular to roundoff, raises the
+    # objective.  Taken, such steps ran the iterations out; lstsq's step
+    # replaces it.
+    res = solve_lsq_qp(*nth_random_problem(2, 141))
+    assert res.converged
+    assert res.kkt_residual <= 1e-9
