@@ -7,7 +7,7 @@ target's (the approximation never underestimates the error), plus the
 simplex bounds on the probabilities.
 
 Both constraint kinds reduce to the same convex QP, ||m p - w||^2 over the
-simplex with one linear honesty row, set up once per solve.
+simplex with one linear honesty row, set up once per solve by _qp_data.
 
 * "avg": the average fidelity is linear in the probabilities, so the
   honesty row is sum_a (1 - c_a) p_a >= 1 - F_target and one QP gives the
@@ -25,15 +25,17 @@ simplex with one linear honesty row, set up once per solve.
   so a start whose row repeats an earlier start's row is not descended
   again (without a measurement generator q_a(r) = q_a(-r), so r and -r
   share a row); restarts_used still counts all 15 start witnesses, a
-  circle as one.  A descent stops, counted as converged, when it stalls,
-  when its next row is bitwise the row its last QP solved (a QP started at
-  its own optimum returns it), or once its mixture's process matrix comes
-  within 1e-4 (largest entry) of an earlier end's: the QP's process matrix
-  is unique and fixes the next witness, so the descent could only find that
-  end again.  From its third QP on, so does the limit Aitken's delta-squared
-  process predicts from its last two steps, where the second is at most
-  0.9 times the first.  A descent that rejoins an end stops as that end
-  did: converged is the end's.  iterations counts the QPs a descent solved.
+  circle as one.  A descent stops, counted as converged, once its next row
+  is within 1e-9 (largest entry) of the row its last QP solved: a QP
+  started at its own optimum returns it, so a descent never solves the same
+  row twice in a row.  It also stops once its mixture's process matrix
+  comes within 1e-4 (largest entry) of an earlier end's: the QP's process
+  matrix is unique and fixes the next witness, so the descent could only
+  find that end again.  From its third QP on, so does the limit Aitken's
+  delta-squared process predicts from its last two steps, where the second
+  is at most 0.9 times the first.  A descent that rejoins an end stops as
+  that end did: converged is the end's.  iterations counts the QPs a
+  descent solved.
 
 Each answer is made honest on the row of its witness input (r = 0 under
 "avg"): a fidelity on one input bounds the worst-case fidelity from above,
@@ -55,7 +57,6 @@ from .catalog import (
     enumerate_generators,
     generator_chis,
     generator_quadratics,
-    identity_fidelity_coefficients,
     mixture_chi,
 )
 from .channels import ChiMatrix, KrausChannel, identity_chi, kraus_to_chi, validate_cptp
@@ -72,6 +73,7 @@ from .metrics import (
 SUPPORT_THRESHOLD = 1e-6
 
 _HONESTY_MARGIN_MAX = 1e-12  # largest roundoff margin _honest_probs tries
+_HONESTY_COST_MAX = 1e-15  # cost of honesty at which the simplex-only optimum is kept
 
 #: Fixed start witnesses of the worst-case descent: the 6 axis states and
 #: the 8 cube diagonals.  Clifford conjugation permutes this set (and moves
@@ -81,8 +83,7 @@ _START_WITNESSES = np.vstack(
     [np.eye(3), -np.eye(3), np.array(list(product((1.0, -1.0), repeat=3))) / np.sqrt(3.0)]
 )
 _DESCENT_MAX_QPS = 200  # QPs per start before a descent is cut off
-_DESCENT_DISTANCE_STALL = 1e-15  # distance decrease of a stalled step
-_DESCENT_WITNESS_STALL = 1e-9  # witness move of a stalled step
+_DESCENT_ROW_STALL = 1e-9  # row change (largest entry) at which a descent stops
 _DESCENT_END_MATCH = 1e-4  # chi gap (largest entry) at which a descent rejoins an end
 _DESCENT_RATIO_MAX = 0.9  # largest step ratio from which a descent's limit is predicted
 
@@ -158,35 +159,38 @@ def _gram(model: str) -> np.ndarray:
     return _read_only(_model_matrix(model).T @ _model_matrix(model))
 
 
-@lru_cache(maxsize=None)
-def _constraint_rows(model: str) -> np.ndarray:
-    """Rows -sum(p) >= -1 and the average honesty row 1 - c_a."""
-    n = len(enumerate_generators(model))
-    dvec = 1.0 - identity_fidelity_coefficients(model)
-    return _read_only(np.vstack([-np.ones((1, n)), dvec]))
-
-
 def _target_vector(target: ChiMatrix) -> np.ndarray:  # w of ||m p - w||^2
     return _vec_real(target.matrix - identity_chi().matrix)
 
 
-def average_qp_data(target: ChiMatrix, model: str):
-    """solve_lsq_qp's data (gram, mtw, rows, h, x0) of the average problem.
+def _honesty_row(model: str, r: np.ndarray) -> np.ndarray:
+    """1 - q_a(r), with q_a(r) each generator's fidelity integrand on the input r."""
+    hs, gs, cs = generator_quadratics(model)
+    return 1.0 - (hs @ r @ r + 2.0 * (gs @ r) + cs)
+
+
+def _qp_data(target: ChiMatrix, model: str, f_target: float):
+    """solve_lsq_qp's data (gram, mtw, rows, h) for a target of fidelity f_target.
 
     x^T gram x - 2 mtw^T x is ||m x - w||^2 - ||w||^2, with ||m x - w||^2
-    8 x the squared distance; rows encode sum(p) <= 1 and the honesty row
-    sum_a (1 - c_a) p_a >= 1 - F_target.  gram and rows are shared per
-    model and read-only.
+    8 x the squared distance; rows encode sum(p) <= 1 and the honesty row of
+    the input r = 0, sum_a (1 - c_a) p_a >= 1 - f_target, which the
+    worst-case descent overwrites with each witness's row.  gram is shared
+    per model and read-only; rows and h are fresh.
     """
     m = _model_matrix(model)
-    rows = _constraint_rows(model)
-    n = m.shape[1]
-    f_target = float(target.matrix[0, 0].real) / 2.0
+    rows = np.vstack([-np.ones(m.shape[1]), _honesty_row(model, np.zeros(3))])
     h = np.array([-1.0, 1.0 - f_target])
-    x0 = np.zeros(n)
-    if f_target < 1.0:
-        x0[0] = 1.0 - f_target  # generator 0 is Pauli X with coefficient 0
-    return _gram(model), m.T @ _target_vector(target), rows, h, x0
+    return _gram(model), m.T @ _target_vector(target), rows, h
+
+
+def _vertex_start(row: np.ndarray, need: float) -> np.ndarray:
+    """The feasible QP start row @ p >= need on the generator a = argmax(row)
+    alone: p_a = need / row[a], and p = 0 where need <= 0."""
+    a = int(np.argmax(row))
+    p = np.zeros(row.size)
+    p[a] = max(need, 0.0) / row[a]
+    return p
 
 
 def _finish(
@@ -278,17 +282,11 @@ def _solve_qp(gram, mtw, rows, h, x0):
 
 
 def _solve_average(problem: ApproximationProblem) -> ApproximationResult:
-    gram, mtw, rows, h, x0 = average_qp_data(problem.target, problem.model)
-    res = _solve_qp(gram, mtw, rows, h, x0)
     f_target = float(problem.target.matrix[0, 0].real) / 2.0
+    gram, mtw, rows, h = _qp_data(problem.target, problem.model, f_target)
+    res = _solve_qp(gram, mtw, rows, h, _vertex_start(rows[-1], h[-1]))
     probs, f_model = _honest_probs(res.x, rows[-1], f_target)
     return _finish(problem, probs, f_target, f_model, True, res.iterations, 0)
-
-
-def _honesty_row(model: str, r: np.ndarray) -> np.ndarray:
-    """1 - q_a(r), with q_a(r) each generator's fidelity integrand on the input r."""
-    hs, gs, cs = generator_quadratics(model)
-    return 1.0 - (hs @ r @ r + 2.0 * (gs @ r) + cs)
 
 
 def _worst_input(model: str, p: np.ndarray) -> tuple[float, np.ndarray]:
@@ -333,10 +331,8 @@ def _descent_limits(trail: list[np.ndarray]) -> list[np.ndarray]:
 def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
     model = problem.model
     m, w = _model_matrix(model), _target_vector(problem.target)
-    gram, mtw, avg_rows, h, _ = average_qp_data(problem.target, model)
     f_target = worst_of_quadratic(*chi_fidelity_quadratic(problem.target.matrix))[0]
-    n = m.shape[1]
-    h[-1] = 1.0 - f_target
+    gram, mtw, rows, h = _qp_data(problem.target, model, f_target)
 
     def objective(chi):  # distance squared of the mixture with process matrix chi
         return float(np.sum((chi - w) ** 2)) / 8.0
@@ -351,31 +347,27 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
         return _finish(problem, probs, f_target, f_model, *info)
 
     # The simplex-only optimum bounds every honest distance from below: if making it
-    # honest on its worst input costs at most a stalled step, no descent can do better.
-    p = _solve_qp(gram, mtw, avg_rows[:-1], h[:-1], np.zeros(n)).x
+    # honest on its worst input costs at most _HONESTY_COST_MAX, no descent can do better.
+    p = _solve_qp(gram, mtw, rows[:-1], h[:-1], np.zeros(m.shape[1])).x
     frees = _free_witnesses(model, p)
     row = _honesty_row(model, frees[0])
     if row.max() >= h[-1]:  # else no mixture is honest on that input
         distance, probs, f_row = honest(p, row)
-        if distance - objective(m @ p) <= _DESCENT_DISTANCE_STALL:
+        if distance - objective(m @ p) <= _HONESTY_COST_MAX:
             return finish(probs, f_row, True, 1, 0)
 
-    rows = np.array(avg_rows)
     starts = np.vstack([frees, _START_WITNESSES])
     ends, end_chis, first_rows = [], np.empty((0, m.shape[0])), set()
     for r in starts:
         row = _honesty_row(model, r)
-        # A descent is fixed by its first row (the stall test cannot pass at its
-        # first QP), so a repeated row would repeat an end already in ends.
+        # A descent is fixed by its first row, so a repeated row would repeat
+        # an end already in ends.
         if row.tobytes() in first_rows:
             continue
         first_rows.add(row.tobytes())
-        a = int(np.argmax(row))
-        if row[a] < h[-1]:
+        if row.max() < h[-1]:
             continue  # no mixture is honest on this input
-        p = np.zeros(n)
-        p[a] = h[-1] / row[a]
-        prev, trail = np.inf, []
+        p, trail = _vertex_start(row, h[-1]), []
         for qps in range(1, _DESCENT_MAX_QPS + 1):
             rows[-1] = row
             p = _solve_qp(gram, mtw, rows, h, p).x
@@ -390,18 +382,12 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
             if hit.any():
                 converged = ends[int(np.argmax(hit))][-1]
                 break
-            value = objective(chi)
-            _, r_next = _worst_input(model, p)
-            row = _honesty_row(model, r_next)
-            # A stalled step ends the descent, and so does a repeated row: a QP
-            # started from its own optimum returns that optimum.
-            converged = np.array_equal(row, rows[-1]) or (
-                prev - value <= _DESCENT_DISTANCE_STALL
-                and float(np.abs(r_next - r).max()) <= _DESCENT_WITNESS_STALL
-            )
+            row = _honesty_row(model, _worst_input(model, p)[1])
+            # A QP started at its own optimum returns it, so the descent ends
+            # once its row stops moving (a bitwise repeat has a gap of 0).
+            converged = float(np.abs(row - rows[-1]).max()) <= _DESCENT_ROW_STALL
             if converged:
                 break
-            r, prev = r_next, value
         end_chis = np.vstack([end_chis, chi])
         # Ends are compared once honest on their last QP's row, rows[-1]: an end
         # that meets it only to within roundoff can cost far more (ADC gamma = 1,
@@ -422,13 +408,13 @@ def solve(problem: ApproximationProblem) -> ApproximationResult:
     start whose first honesty row repeats an earlier start's row is not
     descended again: its `iterations` are the QPs the winning descent
     solved, `restarts_used` the number of start witnesses, repeated rows
-    included and a circle of worst inputs counted once (0 when the
-    simplex-only optimum is honest within a stalled step), and `converged`
-    says whether the winning descent met its stopping rule before its QP
-    budget ran out: it stalled, or its next honesty row
-    was the row its last QP solved, or its mixture's process matrix, or the
-    limit Aitken's delta-squared process predicts from its last two steps,
-    came within 1e-4 of an earlier descent's end that did.  Both paths are
+    included and a circle of worst inputs counted once (0 when making the
+    simplex-only optimum honest costs at most 1e-15), and `converged` says
+    whether the winning descent met its stopping rule before its QP budget
+    ran out: its next honesty row came within 1e-9 of the row its last QP
+    solved, or its mixture's process matrix, or the limit Aitken's
+    delta-squared process predicts from its last two steps, came within
+    1e-4 of an earlier descent's end that did.  Both paths are
     deterministic and make each answer honest exactly on its witness row;
     under "worst", f_model is the lower of the fidelity on that row and the
     minimum over pure inputs.

@@ -63,7 +63,7 @@ def _readonly_complex(a, shape: tuple[int, int], what: str) -> np.ndarray:
 class KrausChannel:
     """A CPTP map rho -> sum_i K_i rho K_i^dag given by 2x2 Kraus operators.
 
-    The operators must satisfy the completeness relation
+    The operators must be finite and satisfy the completeness relation
     sum_i K_i^dag K_i = I within ATOL; construction fails otherwise.
     """
 
@@ -73,6 +73,9 @@ class KrausChannel:
         if len(self.ops) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
         ops = tuple(_readonly_complex(k, (2, 2), "Kraus operator") for k in self.ops)
+        bad = [i for i, k in enumerate(ops) if not np.isfinite(k).all()]
+        if bad:
+            raise ValueError(f"Kraus operators {bad} have non-finite entries")
         total = sum(k.conj().T @ k for k in ops)
         err = float(np.max(np.abs(total - I2)))
         if err > ATOL:
@@ -184,9 +187,13 @@ def validate_cptp(chi: ChiMatrix) -> list[CptpViolation]:
     means the matrix is Hermitian, positive semidefinite (>= -ATOL on the
     smallest eigenvalue), has trace 2, and satisfies the three
     trace-preservation conditions, each within ATOL.  Violations are data,
-    not errors.
+    not errors.  A matrix with non-finite entries reports only the violation
+    "finite", whose magnitude is the number of such entries.
     """
     m = chi.matrix
+    nonfinite = int(np.count_nonzero(~np.isfinite(m)))
+    if nonfinite:
+        return [CptpViolation("finite", float(nonfinite))]
     report: list[CptpViolation] = []
 
     herm = float(np.max(np.abs(m - m.conj().T)))

@@ -51,7 +51,7 @@ from .approximate import (
 from .catalog import MODELS, mixture_chi
 from .channels import ChiMatrix, apply_chi, bloch_from_density, density_from_bloch
 from .channels import identity_chi, kraus_to_chi, validate_cptp
-from .metrics import hs_distance
+from .metrics import CONSTRAINT_KINDS, hs_distance
 from .targets import AdcSpec, GenerationError, PolSpec, RandomChannelSpec, adc, pol_xy
 from .targets import random_chi_batch
 
@@ -176,6 +176,8 @@ def _build_target(args) -> tuple[str, ChiMatrix, dict]:
     if args.target == "pol":
         if args.phi is None or args.p is None:
             raise ValueError("--target pol needs --phi and --p")
+        if not math.isfinite(args.phi):
+            raise ValueError(f"--phi must be finite, got {args.phi}")
         phi = math.radians(args.phi) if args.degrees else args.phi
         chi = kraus_to_chi(pol_xy(PolSpec(phi, args.p)))
         return "pol", chi, {"param_phi": phi, "param_p": args.p}
@@ -355,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx", help="approximate one target channel")
     _add_target_flags(p)
     p.add_argument("--model", choices=MODELS, required=True)
-    p.add_argument("--constraint", choices=("avg", "worst"), default="avg")
+    p.add_argument("--constraint", choices=CONSTRAINT_KINDS, default="avg")
     p.add_argument("--out", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_approx)
 
@@ -366,21 +368,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--p", type=float, default=0.1, help="error probability for pol")
     p.add_argument("--model", type=_models_arg, default=list(MODELS))
-    p.add_argument("--constraint", choices=("avg", "worst"), default="avg")
+    p.add_argument("--constraint", choices=CONSTRAINT_KINDS, default="avg")
     p.add_argument("--degrees", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("random", help="random-channel batch study")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--constraint", choices=("avg", "worst"), default="avg")
+    p.add_argument("--constraint", choices=CONSTRAINT_KINDS, default="avg")
     p.add_argument("--out", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("bloch-section", help="y=0 Bloch cross-section data")
     _add_target_flags(p)
     p.add_argument("--model", choices=MODELS, required=True)
-    p.add_argument("--constraint", choices=("avg", "worst"), default="avg")
+    p.add_argument("--constraint", choices=CONSTRAINT_KINDS, default="avg")
     p.add_argument("--points", type=int, default=72)
     p.set_defaults(func=cmd_bloch_section)
 
@@ -397,6 +399,8 @@ def main(argv=None) -> int:
     if args.command == "sweep":
         if args.steps < 2:
             parser.error("--steps must be >= 2")
+        if not (math.isfinite(args.min) and math.isfinite(args.max)):
+            parser.error("--min and --max must be finite")
         if not args.min < args.max:
             parser.error("--min must be < --max")
     if args.command == "random" and args.count < 1:

@@ -27,8 +27,8 @@ class AdcSpec:
 
 @dataclass(frozen=True)
 class PolSpec:
-    """Polarization along the X-Y plane axis at angle phi (radians, reduced
-    mod 2 pi) with error probability p in [0, 1]."""
+    """Polarization along the X-Y plane axis at the finite angle phi (radians,
+    reduced mod 2 pi) with error probability p in [0, 1]."""
 
     phi: float
     p: float
@@ -36,6 +36,8 @@ class PolSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
+        if not np.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * np.pi))
 
 

@@ -3,12 +3,22 @@
 These deliberately avoid the code paths they are used to check: channel
 action is evaluated by direct Kraus algebra, and the worst-case fidelity
 is located by dense sampling of input states plus a local polish.
+average_qp states the average problem's QP as the solver does, for tests
+of the QP itself.
 """
 
 import numpy as np
 from scipy.optimize import minimize
 
 from stabapprox import PAULIS
+from stabapprox.approximate import _qp_data, _vertex_start
+
+
+def average_qp(target, model: str):
+    """(gram, mtw, rows, h, x0): the average problem's QP and its vertex start."""
+    f_target = float(target.matrix[0, 0].real) / 2.0
+    gram, mtw, rows, h = _qp_data(target, model, f_target)
+    return gram, mtw, rows, h, _vertex_start(rows[-1], h[-1])
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:

@@ -10,6 +10,7 @@ from scipy.optimize import minimize
 
 import stabapprox as sa
 from stabapprox.qp import solve_lsq_qp
+from helpers import average_qp
 
 
 def adc_problem(gamma, model, constraint="avg"):
@@ -570,7 +571,7 @@ def test_average_path_multistart_agreement():
     target = sa.kraus_to_chi(sa.adc(sa.AdcSpec(0.37)))
     rng = np.random.default_rng(13)
     for model in ("pmc", "cmc"):
-        gram, mtw, rows, h, x0 = sa.average_qp_data(target, model)
+        gram, mtw, rows, h, x0 = average_qp(target, model)
         baseline = None
         n = len(x0)
         for _ in range(10):
@@ -597,7 +598,7 @@ def test_qp_against_reference_solver():
     rng = np.random.default_rng(23)
     targets = sa.random_chi_batch(sa.RandomChannelSpec(seed=41, count=20))
     for target, model in itertools.product(targets, sa.MODELS):
-        gram, mtw, rows, h, x0 = sa.average_qp_data(target, model)
+        gram, mtw, rows, h, x0 = average_qp(target, model)
         mine = solve_lsq_qp(gram, mtw, rows, h, x0)
         assert mine.converged
         assert mine.kkt_residual <= 1e-9

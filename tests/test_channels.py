@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,14 @@ def test_kraus_channel_rejects_incomplete_ops():
         sa.KrausChannel((0.5 * sa.PAULIS[0],))
     with pytest.raises(ValueError, match="at least one"):
         sa.KrausChannel(())
+
+
+def test_kraus_channel_rejects_non_finite_ops():
+    # The completeness test alone passes NaN: NaN > ATOL is false.
+    bad = np.array(sa.PAULIS[1])
+    bad[0, 1] = np.nan
+    with pytest.raises(ValueError, match=r"Kraus operators \[1\] have non-finite"):
+        sa.KrausChannel((sa.PAULIS[0], bad))
 
 
 def test_apply_channel_identity_fixes_probes():
@@ -99,6 +109,18 @@ def test_validate_cptp_flags_trace_and_hermiticity():
     report = sa.validate_cptp(sa.ChiMatrix(m))
     names = {v.constraint for v in report}
     assert "trace" in names and "hermiticity" in names
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_cptp_reports_non_finite_entries(bad):
+    # Reported as data, before any eigen-solve: none raises or warns.
+    m = np.diag([2.0, 0, 0, 0]).astype(complex)
+    m[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sa.validate_cptp(sa.ChiMatrix(m)) == [sa.CptpViolation("finite", 1.0)]
+        with pytest.raises(ValueError, match="finite violated"):
+            sa.solve(sa.ApproximationProblem(sa.ChiMatrix(m), "pc"))
 
 
 def test_bloch_image_identity():

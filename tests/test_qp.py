@@ -3,7 +3,9 @@ import pytest
 from scipy.optimize import minimize
 
 import stabapprox as sa
+from stabapprox import qp
 from stabapprox.qp import kkt_residual, solve_lsq_qp
+from helpers import average_qp
 
 
 def unit_target(model: str, label: str) -> sa.ChiMatrix:
@@ -18,7 +20,7 @@ def unit_target(model: str, label: str) -> sa.ChiMatrix:
 def test_identity_target_with_dependent_honesty_row(model):
     # x0 = 0: every bound is tight, and so is the honesty row, which then
     # depends on them; the start is already optimal.
-    gram, mtw, rows, h, x0 = sa.average_qp_data(sa.identity_chi(), model)
+    gram, mtw, rows, h, x0 = average_qp(sa.identity_chi(), model)
     assert not x0.any()
     res = solve_lsq_qp(gram, mtw, rows, h, x0)
     assert res.converged and res.iterations == 1
@@ -56,7 +58,7 @@ def test_single_generator_target_is_reproduced(model, label):
 
 def test_infeasible_start_is_rejected():
     target = sa.kraus_to_chi(sa.adc(sa.AdcSpec(0.25)))
-    gram, mtw, rows, h, x0 = sa.average_qp_data(target, "cmc")
+    gram, mtw, rows, h, x0 = average_qp(target, "cmc")
     with pytest.raises(ValueError, match="infeasible"):
         solve_lsq_qp(gram, mtw, rows, h, np.zeros_like(x0))  # honesty row violated
     with pytest.raises(ValueError, match="infeasible"):
@@ -73,7 +75,7 @@ def test_kkt_residual_is_computed_on_first_read_from_the_rows_solved():
     # The worst-case descent rewrites its honesty row in place after each
     # QP; a residual read afterwards must still be that of the rows solved.
     target = sa.kraus_to_chi(sa.adc(sa.AdcSpec(0.25)))
-    gram, mtw, avg_rows, h, x0 = sa.average_qp_data(target, "cmc")
+    gram, mtw, avg_rows, h, x0 = average_qp(target, "cmc")
     rows = np.array(avg_rows)
     res = solve_lsq_qp(gram, mtw, rows, h, x0)
     assert "kkt_residual" not in vars(res)
@@ -119,6 +121,24 @@ def test_rank_deficient_problems_converge_to_the_reference_optimum():
         )
         x = res.x
         assert float(x @ gram @ x - 2.0 * mtw @ x) <= ref.fun + 1e-9
+
+
+def test_objective_never_rises_between_iterations(monkeypatch):
+    # The iterate after k iterations, read by cutting the solve there, is
+    # never worse than the one after k - 1, beyond roundoff.
+    rng, budget = np.random.default_rng(3), qp._MAX_ITER
+    for _ in range(50):
+        gram, mtw, rows, h, x0 = random_problem(rng)
+        before = float(x0 @ gram @ x0 - 2.0 * mtw @ x0)
+        for k in range(1, budget + 1):
+            monkeypatch.setattr(qp, "_MAX_ITER", k)
+            res = solve_lsq_qp(gram, mtw, rows, h, x0)
+            after = float(res.x @ gram @ res.x - 2.0 * mtw @ res.x)
+            assert after <= before + 1e-12 * max(1.0, abs(before)), k
+            if res.converged:
+                break
+            before = after
+        assert res.converged
 
 
 def nth_random_problem(seed: int, draw: int):

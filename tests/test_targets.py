@@ -46,6 +46,12 @@ def test_pol_spec_normalizes_angle_and_validates_p():
         sa.PolSpec(0.1, 1.5)
 
 
+@pytest.mark.parametrize("phi", [np.nan, np.inf])
+def test_pol_spec_rejects_non_finite_phi(phi):
+    with pytest.raises(ValueError, match="phi must be finite"):
+        sa.PolSpec(phi, 0.1)
+
+
 @given(st.floats(0, 2 * np.pi), st.floats(0, 1))
 @settings(max_examples=40, deadline=None)
 def test_pol_is_unital(phi, p):
