@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Data behind the studies, one subcommand per study:
+
+  adc     amplitude damping: distance curves for all four models plus
+          Bloch-ball cross-sections at gamma = 0.25 under both constraints
+  pol     polarization: distance versus the polarization axis angle for all
+          four models at fixed error probability
+  random  random channels: best approximation of many random CPTP process
+          matrices by each model, with summary statistics
+
+Each study runs the stabapprox CLI in-process, once per data file under
+--out-dir.  A run's stdout goes to its file; the random study's stderr, the
+JSON summary, goes to random_summary.json.
+"""
+
+import argparse
+import contextlib
+import io
+import math
+import pathlib
+import sys
+
+from stabapprox import cli
+
+
+def adc_runs(args):
+    """(data file, summary file or None, CLI arguments) of each run."""
+    yield "adc_sweep_avg.csv", None, [
+        "sweep", "--target", "adc", "--min", "0", "--max", "1",
+        "--steps", str(args.steps), "--model", "pc,pmc,cc,cmc",
+    ]
+    yield "adc_sweep_worst.csv", None, [
+        "sweep", "--target", "adc", "--min", "0", "--max", "0.96",
+        "--steps", str(args.worst_steps), "--model", "pc,pmc", "--constraint", "worst",
+    ]
+    for model in ("pc", "pmc"):
+        for constraint in ("avg", "worst"):
+            yield f"adc_bloch_{model}_{constraint}.csv", None, [
+                "bloch-section", "--target", "adc", "--gamma", "0.25",
+                "--model", model, "--constraint", constraint, "--points", "72",
+            ]
+
+
+def pol_runs(args):
+    yield "pol_sweep_avg.csv", None, [
+        "sweep", "--target", "pol", "--min", "0", "--max", str(math.pi / 2),
+        "--steps", str(args.steps), "--p", str(args.p), "--model", "pc,pmc,cc,cmc",
+    ]
+
+
+def random_runs(args):
+    yield "random_channels.csv", "random_summary.json", [
+        "random", "--count", str(args.count), "--seed", str(args.seed),
+    ]
+
+
+def main() -> None:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out-dir", default="results", type=pathlib.Path)
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    sub = ap.add_subparsers(dest="study", required=True)
+    p = sub.add_parser("adc", parents=[common])
+    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--worst-steps", type=int, default=25)
+    p.set_defaults(runs=adc_runs)
+    p = sub.add_parser("pol", parents=[common])
+    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--p", type=float, default=0.1)
+    p.set_defaults(runs=pol_runs)
+    p = sub.add_parser("random", parents=[common])
+    p.add_argument("--count", type=int, default=2000)
+    p.add_argument("--seed", type=int, default=20260810)
+    p.set_defaults(runs=random_runs)
+    args = ap.parse_args()
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+
+    for data, summary, argv in args.runs(args):
+        for name in filter(None, (data, summary)):
+            print(f"-> {args.out_dir / name}")
+        err = io.StringIO()
+        with open(args.out_dir / data, "w", encoding="utf-8") as fh:
+            with contextlib.redirect_stdout(fh), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        if code != 0:
+            sys.stderr.write(err.getvalue())
+            raise SystemExit(code)
+        if summary:
+            (args.out_dir / summary).write_text(err.getvalue(), encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()

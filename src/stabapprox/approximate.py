@@ -7,7 +7,9 @@ target's (the approximation never underestimates the error), plus the
 simplex bounds on the probabilities.
 
 Both constraint kinds reduce to the same convex QP, ||m p - w||^2 over the
-simplex with one linear honesty row, set up once per solve by _qp_data.
+simplex with one linear honesty row, set up once per solve by _qp_data (the
+Gram matrix once per model) and solved by stabapprox.qp from the vertex
+_vertex_start picks.
 
 * "avg": the average fidelity is linear in the probabilities, so the
   honesty row is sum_a (1 - c_a) p_a >= 1 - F_target and one QP gives the
@@ -16,26 +18,32 @@ simplex with one linear honesty row, set up once per solve by _qp_data.
   integrand is linear in the probabilities, so honesty on r is the row
   sum_a (1 - q_a(r)) p_a >= 1 - F_target, with q_a(r) the integrand of
   generator a; the average row is the case r = 0.  The worst-case problem
-  is the minimum over unit r of that QP.  It is solved by alternating
-  descent from start witnesses: p <- QP(r), then r <- the worst input of
-  p.  The first start is the worst input of the simplex-only optimum, or
-  12 points of its worst inputs where those form a circle.  The previous
-  p stays feasible for the new row, so the distance never increases along
-  a descent; the best descent wins.  A descent is fixed by its first row,
-  so a start whose row repeats an earlier start's row is not descended
-  again (without a measurement generator q_a(r) = q_a(-r), so r and -r
-  share a row); restarts_used still counts all 15 start witnesses, a
-  circle as one.  A descent stops, counted as converged, once its next row
-  is within 1e-9 (largest entry) of the row its last QP solved: a QP
-  started at its own optimum returns it, so a descent never solves the same
-  row twice in a row.  It also stops once its mixture's process matrix
-  comes within 1e-4 (largest entry) of an earlier end's: the QP's process
-  matrix is unique and fixes the next witness, so the descent could only
-  find that end again.  From its third QP on, so does the limit Aitken's
+  is the minimum over unit r of that QP.
+
+The worst case is solved by alternating descent from start witnesses:
+p <- QP(r), then r <- the worst input of p.  The previous p stays feasible
+for the new row, so the distance never increases along a descent; the best
+descent wins.
+
+* Starts.  If making the simplex-only optimum honest on its worst input
+  costs at most 1e-15 in distance, no descent can do better and it is
+  kept.  Otherwise the first start is that worst input, or 12 points of its
+  worst inputs where those form a circle, and the other 14 are the axis
+  states and the cube diagonals.  A descent is fixed by its first row, so a
+  start whose row repeats an earlier start's row is not descended again
+  (without a measurement generator q_a(r) = q_a(-r), so r and -r share a
+  row, which leaves at most 5 descents on pc and 8 on cc).
+* Stops.  A descent stops, counted as converged, once its next row is
+  within 1e-9 (largest entry) of the row its last QP solved: a QP started
+  at its own optimum returns it, so a descent never solves the same row
+  twice in a row.  It also stops once its mixture's process matrix comes
+  within 1e-4 (largest entry) of an earlier end's: the QP's process matrix
+  is unique and fixes the next witness, so the descent could only find that
+  end again.  From its third QP on, so does the limit Aitken's
   delta-squared process predicts from its last two steps, where the second
   is at most 0.9 times the first.  A descent that rejoins an end stops as
-  that end did: converged is the end's.  iterations counts the QPs a
-  descent solved.
+  that end did: converged is the end's.  A descent that meets no stop rule
+  within 200 QPs is cut there, not converged.
 
 Each answer is made honest on the row of its witness input (r = 0 under
 "avg"): a fidelity on one input bounds the worst-case fidelity from above,
@@ -125,8 +133,8 @@ def extract_support(
     result: ApproximationResult, threshold: float = SUPPORT_THRESHOLD
 ) -> list[tuple[str, float]]:
     """Generators carrying probability above threshold, largest first."""
-    if threshold < 0.0:
-        raise ValueError("threshold must be >= 0")
+    if not threshold >= 0.0:  # also rejects NaN
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
     gens = enumerate_generators(result.params.model)
     pairs = [
         (i, gen.label, float(p))
@@ -400,24 +408,21 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
 
 
 def solve(problem: ApproximationProblem) -> ApproximationResult:
-    """Best honest approximation of the target by the requested mixture.
+    """Best honest approximation of the target by the requested mixture:
+    under "avg" the global optimum of the convex QP, under "worst" the best
+    end of the descents the module docstring describes.  Deterministic, and
+    f_model <= f_target holds exactly.
 
-    The average path returns the global optimum of the underlying convex
-    QP.  The worst-case path returns the best of the alternating descents
-    over the witness input from a fixed set of start witnesses, where a
-    start whose first honesty row repeats an earlier start's row is not
-    descended again: its `iterations` are the QPs the winning descent
-    solved, `restarts_used` the number of start witnesses, repeated rows
-    included and a circle of worst inputs counted once (0 when making the
-    simplex-only optimum honest costs at most 1e-15), and `converged` says
-    whether the winning descent met its stopping rule before its QP budget
-    ran out: its next honesty row came within 1e-9 of the row its last QP
-    solved, or its mixture's process matrix, or the limit Aitken's
-    delta-squared process predicts from its last two steps, came within
-    1e-4 of an earlier descent's end that did.  Both paths are
-    deterministic and make each answer honest exactly on its witness row;
-    under "worst", f_model is the lower of the fidelity on that row and the
-    minimum over pure inputs.
+    distance is the normalized Hilbert-Schmidt distance to the target;
+    f_target and f_model are the fidelities the constraint names, except
+    that under "worst" f_model is the lower of the mixture's fidelity on its
+    witness row and its minimum over pure inputs.  support lists the
+    generators above SUPPORT_THRESHOLD, largest first.  iterations counts
+    the QP's iterations under "avg" and the winning descent's QPs under
+    "worst".  restarts_used is 0 under "avg" and where the simplex-only
+    optimum is kept, else 15 (the start witnesses, a circle counted once and
+    repeated rows included).  converged says whether the winning descent
+    met a stop rule before its QP budget ran out (true under "avg").
     """
     if problem.constraint not in CONSTRAINT_KINDS:
         raise ValueError(

@@ -28,6 +28,10 @@ ATOL = 1e-10
 
 _KRAUS_CUTOFF = 1e-12  # chi eigenvalues chi_to_kraus drops
 
+# The trace-preservation conditions of the module docstring, one per pair of
+# off-diagonal entries: (j, k, l, s) for Re(chi_0j) + s Im(chi_kl) = 0.
+_TP_PAIRS = ((1, 2, 3, 1), (2, 1, 3, -1), (3, 1, 2, 1))
+
 I2 = np.array([[1, 0], [0, 1]], dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -122,6 +126,8 @@ def density_from_bloch(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise ValueError(f"Bloch vector must have shape (3,), got {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError(f"Bloch vector must be finite, got {r}")
     if float(np.linalg.norm(r)) > 1.0 + ATOL:
         raise ValueError(f"Bloch vector lies outside the unit ball: |r| = {np.linalg.norm(r)}")
     return (I2 + r[0] * X + r[1] * Y + r[2] * Z) / 2.0
@@ -154,6 +160,8 @@ def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"density matrix must be 2x2, got {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has non-finite entries")
     if np.max(np.abs(rho - rho.conj().T)) > ATOL:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho) - 1.0) > ATOL:
@@ -209,14 +217,10 @@ def validate_cptp(chi: ChiMatrix) -> list[CptpViolation]:
     if tr > ATOL:
         report.append(CptpViolation("trace", float(tr)))
 
-    tp_terms = (
-        ("tp(01,23)", m[0, 1].real + m[2, 3].imag),
-        ("tp(02,13)", m[0, 2].real - m[1, 3].imag),
-        ("tp(03,12)", m[0, 3].real + m[1, 2].imag),
-    )
-    for name, value in tp_terms:
-        if abs(value) > ATOL:
-            report.append(CptpViolation(name, abs(float(value))))
+    for j, k, l, s in _TP_PAIRS:
+        value = abs(float(m[0, j].real + s * m[k, l].imag))
+        if value > ATOL:
+            report.append(CptpViolation(f"tp(0{j},{k}{l})", value))
     return report
 
 

@@ -139,8 +139,11 @@ def _record_from_result(result: ApproximationResult, target_kind: str, **optiona
     )
 
 
-def _csv_writer(stream):
-    return csv.writer(stream, lineterminator="\n")
+def _write_csv(header, rows) -> None:
+    """Write a header and rows of cells to stdout as CSV."""
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def load_chi_file(path: str) -> ChiMatrix:
@@ -167,20 +170,27 @@ def save_chi_file(chi: ChiMatrix, path: str) -> None:
         fh.write("\n")
 
 
+def _param_target(kind: str, value: float, p: float | None) -> tuple[ChiMatrix, dict]:
+    """(process matrix, RunRecord parameter fields) of the adc target of
+    gamma = value or the pol target of phi = value (radians) and p."""
+    if kind == "adc":
+        return kraus_to_chi(adc(AdcSpec(value))), {"param_gamma": value}
+    return kraus_to_chi(pol_xy(PolSpec(value, p))), {"param_phi": value, "param_p": p}
+
+
 def _build_target(args) -> tuple[str, ChiMatrix, dict]:
     """Returns (kind, process matrix, RunRecord parameter fields) for --target."""
     if args.target == "adc":
         if args.gamma is None:
             raise ValueError("--target adc needs --gamma")
-        return "adc", kraus_to_chi(adc(AdcSpec(args.gamma))), {"param_gamma": args.gamma}
+        return "adc", *_param_target("adc", args.gamma, args.p)
     if args.target == "pol":
         if args.phi is None or args.p is None:
             raise ValueError("--target pol needs --phi and --p")
         if not math.isfinite(args.phi):
             raise ValueError(f"--phi must be finite, got {args.phi}")
         phi = math.radians(args.phi) if args.degrees else args.phi
-        chi = kraus_to_chi(pol_xy(PolSpec(phi, args.p)))
-        return "pol", chi, {"param_phi": phi, "param_p": args.p}
+        return "pol", *_param_target("pol", phi, args.p)
     if args.target == "file":
         if args.file is None:
             raise ValueError("--target file needs --file")
@@ -206,9 +216,7 @@ def cmd_approx(args) -> int:
         json.dump(asdict(record), sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
-        writer = _csv_writer(sys.stdout)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerow(record.to_csv_row())
+        _write_csv(CSV_COLUMNS, [record.to_csv_row()])
     return 0
 
 
@@ -223,19 +231,14 @@ def cmd_sweep(args) -> int:
     if args.target == "pol" and args.degrees:
         lo, hi = math.radians(lo), math.radians(hi)
     grid = np.linspace(lo, hi, args.steps)
-    if args.target == "adc":
-        targets = [adc(AdcSpec(value)) for value in grid]
-        params = [{"param_gamma": float(value)} for value in grid]
-    else:
-        targets = [pol_xy(PolSpec(value, args.p)) for value in grid]
-        params = [{"param_phi": float(value), "param_p": args.p} for value in grid]
-    results = solve_batch(targets, args.model, args.constraint)
+    built = [_param_target(args.target, float(value), args.p) for value in grid]
+    results = solve_batch([chi for chi, _ in built], args.model, args.constraint)
     _raise_first_error(results)
-    writer = _csv_writer(sys.stdout)
-    writer.writerow(CSV_COLUMNS)
-    for k, result in enumerate(results):
-        record = _record_from_result(result, args.target, **params[k // len(args.model)])
-        writer.writerow(record.to_csv_row())
+    records = (
+        _record_from_result(result, args.target, **built[k // len(args.model)][1])
+        for k, result in enumerate(results)
+    )
+    _write_csv(CSV_COLUMNS, (record.to_csv_row() for record in records))
     return 0
 
 
@@ -292,10 +295,7 @@ def cmd_random(args) -> int:
         )
         sys.stdout.write("\n")
     else:
-        writer = _csv_writer(sys.stdout)
-        writer.writerow(CSV_COLUMNS)
-        for record in rows:
-            writer.writerow(record.to_csv_row())
+        _write_csv(CSV_COLUMNS, (record.to_csv_row() for record in rows))
         json.dump(summary, sys.stderr, indent=2)
         sys.stderr.write("\n")
     return 0
@@ -305,25 +305,16 @@ def cmd_bloch_section(args) -> int:
     _kind, chi, _params = _build_target(args)
     result = solve(ApproximationProblem(chi, args.model, args.constraint))
     model_chi = mixture_chi(result.params)
-    writer = _csv_writer(sys.stdout)
-    writer.writerow(BLOCH_COLUMNS)
+    rows = []
     for k in range(args.points):
         theta = 2.0 * np.pi * k / args.points
         r_in = np.array([np.sin(theta), 0.0, np.cos(theta)])
         rho = density_from_bloch(r_in)
         r_target = bloch_from_density(apply_chi(chi, rho))
         r_model = bloch_from_density(apply_chi(model_chi, rho))
-        writer.writerow(
-            [
-                _fmt(theta),
-                _fmt(r_in[0]),
-                _fmt(r_in[2]),
-                _fmt(r_target[0]),
-                _fmt(r_target[2]),
-                _fmt(r_model[0]),
-                _fmt(r_model[2]),
-            ]
-        )
+        cells = (theta, r_in[0], r_in[2], r_target[0], r_target[2], r_model[0], r_model[2])
+        rows.append([_fmt(x) for x in cells])
+    _write_csv(BLOCH_COLUMNS, rows)
     return 0
 
 

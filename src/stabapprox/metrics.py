@@ -37,6 +37,8 @@ def _check_unitary(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if v.shape != (2, 2):
         raise ValueError(f"reference operator must be 2x2, got {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("reference operator has non-finite entries")
     if np.max(np.abs(v.conj().T @ v - np.eye(2))) > ATOL:
         raise ValueError("reference operator is not unitary")
     return v

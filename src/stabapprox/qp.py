@@ -16,13 +16,20 @@ truncates small singular values, and its steps just above the zero-step
 test stalled the method.  lstsq solves it where LU fails or is unsound: a
 singular system (as at an interior start with G_FF singular), a residual
 above 1e-10 relative to the right-hand side, or a nonzero step that raises
-the objective.  Where A has at least |F| rows, lstsq first solves
-A^T nu = (b - G x)_F: at rank |F| the step is 0.  A nonzero step is cut
-at the first blocking bound or row, which joins the working set.  At a
-zero step the rows' multipliers are -2 nu and a fixed variable's is its
-gradient entry less the rows' part; the most negative leaves the working
-set.  When none is negative, x is a KKT point and hence a global minimum
-(the problem is convex), which the KKT residual certifies.
+the objective.  A nonzero step is cut at the first blocking bound or row,
+which joins the working set.  At a zero step the rows' multipliers are
+-2 nu and a fixed variable's is its gradient entry less the rows' part; the
+most negative leaves the working set.  When none is negative, x is a KKT
+point and hence a global minimum (the problem is convex), which the KKT
+residual certifies.
+
+The rows of A stay linearly independent: a tight start row enters only if
+it raises their rank; a blocking row only where the step d, in the null
+space of A, falls along it (R_i d < -1e-14); and a bound only where
+d_j < 0, so no combination of the rows of A vanishes off column j (it
+would vanish on d).  So A has at most |F| rows, and at |F| it is square and
+nonsingular: the step is 0, and LU solves A^T nu = (b - G x)_F in place of
+the KKT system.
 """
 
 from __future__ import annotations
@@ -70,11 +77,10 @@ def solve_lsq_qp(gram, mtw, rows, h, x0) -> QPResult:
     """Active-set minimization of x^T G x - 2 b^T x over {x >= 0, R x >= h},
     with G = gram and b = mtw.
 
-    x0 must be feasible.  A blocking bound or row always enters the working
-    set linearly independent of it (it falls along d while the working set
-    holds), so only the initial working set is filtered: every variable
-    within 1e-12 of 0 is fixed, and a tight row is kept only if it raises
-    the rank of the working rows restricted to the free variables.
+    x0 must be feasible.  The start's working set holds every variable
+    within 1e-12 of 0 and each tight row that raises the rank of the working
+    rows restricted to the free variables; the module docstring says why the
+    working rows stay independent from there on.
     """
     gram, mtw = np.asarray(gram, dtype=float), np.asarray(mtw, dtype=float)
     rows = np.array(rows, dtype=float, ndmin=2)  # copies: the result keeps these rows
@@ -106,11 +112,10 @@ def solve_lsq_qp(gram, mtw, rows, h, x0) -> QPResult:
         descent = mtw - gram @ x  # minus half the gradient
         d, zero = np.zeros(n), 1e-13 * max(1.0, np.abs(x).max())  # zero-step test
         if ne >= nf:
-            # Working rows of rank nf fix every free variable, so the step is 0.
-            # The KKT system can be too ill conditioned to return that: lstsq
-            # then gives roundoff steps the zero-step test never accepts.
-            nu, _, rank, _ = np.linalg.lstsq(a.T, descent[free], rcond=None)
-        if ne < nf or rank < nf:
+            # ne == nf: the working rows fix every free variable and the step is
+            # 0, which an ill-conditioned KKT system can miss by roundoff steps.
+            nu = np.linalg.solve(a.T, descent[free])
+        else:
             kkt = np.zeros((nf + ne, nf + ne))
             kkt[:nf, :nf] = gram[free[:, None], free]
             kkt[:nf, nf:] = a.T

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ATOL, I2, X, Y, ChiMatrix, KrausChannel
+from .channels import _TP_PAIRS, ATOL, I2, X, Y, ChiMatrix, KrausChannel
 
 
 class GenerationError(RuntimeError):
@@ -88,26 +88,16 @@ def _enforce_tp_constraints(m: np.ndarray) -> np.ndarray:
     """Project the three trace-preservation conditions onto a Hermitian
     matrix by symmetric averaging of each conjugate pair.
 
-    Re(m01) -> (Re m01 - Im m23)/2 with Im(m23) set to the negative of it,
-    and analogously for the (02,13) and (03,12) pairs.  The diagonal (and
-    hence the trace) is untouched and Hermiticity is re-imposed exactly.
+    For the condition Re(m_0j) + s Im(m_kl) = 0, Re(m_0j) -> (Re m_0j -
+    s Im m_kl)/2 with Im(m_kl) set to -s times it.  The diagonal (and hence
+    the trace) is untouched and Hermiticity is re-imposed on both entries.
     """
     out = np.array(m, dtype=complex)
-
-    r = (out[0, 1].real - out[2, 3].imag) / 2.0
-    out[0, 1] = r + 1j * out[0, 1].imag
-    out[2, 3] = out[2, 3].real - 1j * r
-
-    r = (out[0, 2].real + out[1, 3].imag) / 2.0
-    out[0, 2] = r + 1j * out[0, 2].imag
-    out[1, 3] = out[1, 3].real + 1j * r
-
-    r = (out[0, 3].real - out[1, 2].imag) / 2.0
-    out[0, 3] = r + 1j * out[0, 3].imag
-    out[1, 2] = out[1, 2].real - 1j * r
-
-    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)):
-        out[j, i] = out[i, j].conjugate()
+    for j, k, l, s in _TP_PAIRS:
+        r = (out[0, j].real - s * out[k, l].imag) / 2.0
+        out[0, j] = r + 1j * out[0, j].imag
+        out[k, l] = out[k, l].real - 1j * (s * r)
+        out[j, 0], out[l, k] = out[0, j].conjugate(), out[k, l].conjugate()
     return out
 
 

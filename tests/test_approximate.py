@@ -738,3 +738,5 @@ def test_extract_support_threshold_and_order():
     assert sa.extract_support(result, threshold=1.0) == []
     with pytest.raises(ValueError):
         sa.extract_support(result, threshold=-1.0)
+    with pytest.raises(ValueError, match="threshold must be >= 0, got nan"):
+        sa.extract_support(result, threshold=float("nan"))

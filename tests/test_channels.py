@@ -139,6 +139,20 @@ def test_bloch_image_rejects_unphysical_input():
         sa.bloch_image(sa.identity_channel(), [1.2, 0, 0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_states_are_rejected(bad):
+    # NaN fails every comparison, so the norm, Hermiticity, trace and
+    # positivity tests all let it through.
+    with pytest.raises(ValueError, match="Bloch vector must be finite"):
+        sa.density_from_bloch([bad, 0.0, 0.0])
+    with pytest.raises(ValueError, match="Bloch vector must be finite"):
+        sa.bloch_image(sa.identity_channel(), [0.0, bad, 0.0])
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    rho[0, 1] = rho[1, 0] = bad
+    with pytest.raises(ValueError, match="density matrix has non-finite entries"):
+        sa.apply_channel(sa.identity_channel(), rho)
+
+
 def test_unital_mixture_fixes_origin_adc_does_not():
     params = sa.MixtureParams("cc", np.full(23, 0.01))
     assert np.allclose(sa.bloch_image(sa.build_mixture(params), [0, 0, 0]), 0, atol=1e-12)

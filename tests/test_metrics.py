@@ -71,6 +71,14 @@ def test_avg_fidelity_rejects_non_unitary_reference():
         sa.worst_fidelity(np.diag([1.0, 0.5]), sa.identity_channel())
 
 
+def test_fidelities_reject_non_finite_reference():
+    v = np.eye(2, dtype=complex)
+    v[0, 1] = np.nan
+    for fidelity in (sa.avg_fidelity, sa.worst_fidelity):
+        with pytest.raises(ValueError, match="reference operator has non-finite entries"):
+            fidelity(v, sa.identity_channel())
+
+
 @st.composite
 def small_mixture(draw):
     n = 23

@@ -125,16 +125,21 @@ def test_rank_deficient_problems_converge_to_the_reference_optimum():
 
 def test_objective_never_rises_between_iterations(monkeypatch):
     # The iterate after k iterations, read by cutting the solve there, is
-    # never worse than the one after k - 1, beyond roundoff.
+    # never worse than the one after k - 1, beyond roundoff, and its working
+    # rows never outnumber its free variables (the invariant that lets a
+    # zero step solve for the multipliers by LU).
     rng, budget = np.random.default_rng(3), qp._MAX_ITER
     for _ in range(50):
         gram, mtw, rows, h, x0 = random_problem(rng)
+        n = x0.size
         before = float(x0 @ gram @ x0 - 2.0 * mtw @ x0)
         for k in range(1, budget + 1):
             monkeypatch.setattr(qp, "_MAX_ITER", k)
             res = solve_lsq_qp(gram, mtw, rows, h, x0)
             after = float(res.x @ gram @ res.x - 2.0 * mtw @ res.x)
             assert after <= before + 1e-12 * max(1.0, abs(before)), k
+            fixed = sum(c < n for c in res.active)
+            assert sum(c >= n for c in res.active) <= n - fixed, k
             if res.converged:
                 break
             before = after
@@ -164,5 +169,29 @@ def test_random_problem_whose_lu_step_raises_the_objective_converges():
     # objective.  Taken, such steps ran the iterations out; lstsq's step
     # replaces it.
     res = solve_lsq_qp(*nth_random_problem(2, 141))
+    assert res.converged
+    assert res.kkt_residual <= 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the squeezed honesty row 1 - 1e-6 row differs from minus the simplex row "
+    "by 1e-6, so once both hold 4 free variables the KKT matrix is singular to "
+    "roundoff (condition number 6e14): LU fails its residual check at every "
+    "iteration, and lstsq's steps, as inaccurate, are full steps of about 1.6e-4 "
+    "that lower the objective by about 1e-3 each, so the 400 iterations run out "
+    "(ROADMAP item 1)",
+)
+def test_random_problem_with_a_squeezed_honesty_row_converges():
+    # Draw 1 of seed 1 (15 variables, rank 8) with the honesty row replaced
+    # by 1 - 1e-6 row, started at the vertex e_a where it and the simplex
+    # row are both tight.  It ends at KKT residual 1.5 with its objective
+    # still falling (0.84 at iteration 10, 0.52 at 400).
+    gram, mtw, rows, h, _ = nth_random_problem(1, 1)
+    rows[1] = 1.0 - 1e-6 * rows[1]
+    a = int(np.argmax(rows[1]))
+    h[1] = rows[1, a]
+    x0 = np.eye(rows.shape[1])[a]
+    res = solve_lsq_qp(gram, mtw, rows, h, x0)
     assert res.converged
     assert res.kkt_residual <= 1e-9
