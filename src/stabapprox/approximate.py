@@ -33,6 +33,13 @@ descent wins.
   start whose row repeats an earlier start's row is not descended again
   (without a measurement generator q_a(r) = q_a(-r), so r and -r share a
   row, which leaves at most 5 descents on pc and 8 on cc).
+* Faces.  Consecutive descent QPs differ only in their honesty row, so
+  each starts on a face (stabapprox.qp): the simplex-only QP on the empty
+  one, its unconstrained minimiser; a descent's first QP on the
+  simplex-only optimum's working set plus the honesty row; every later QP
+  on the working set of the QP before it.  Where a face's minimiser fails
+  its LU solve or is infeasible, the QP starts as before: from 0, the
+  vertex start or the previous p.  The average QP takes no face.
 * Stops.  A descent stops, counted as converged, once its next row is
   within 1e-9 (largest entry) of the row its last QP solved: a QP started
   at its own optimum returns it, so a descent never solves the same row
@@ -177,6 +184,14 @@ def _honesty_row(model: str, r: np.ndarray) -> np.ndarray:
     return 1.0 - (hs @ r @ r + 2.0 * (gs @ r) + cs)
 
 
+@lru_cache(maxsize=None)
+def _fixed_rows(model: str) -> np.ndarray:
+    """Honesty rows of the average input r = 0 (row 0) and of the
+    _START_WITNESSES (rows 1 on), each as _honesty_row builds it."""
+    inputs = np.vstack([np.zeros(3), _START_WITNESSES])
+    return _read_only(np.stack([_honesty_row(model, r) for r in inputs]))
+
+
 def _qp_data(target: ChiMatrix, model: str, f_target: float):
     """solve_lsq_qp's data (gram, mtw, rows, h) for a target of fidelity f_target.
 
@@ -187,7 +202,7 @@ def _qp_data(target: ChiMatrix, model: str, f_target: float):
     per model and read-only; rows and h are fresh.
     """
     m = _model_matrix(model)
-    rows = np.vstack([-np.ones(m.shape[1]), _honesty_row(model, np.zeros(3))])
+    rows = np.vstack([-np.ones(m.shape[1]), _fixed_rows(model)[0]])
     h = np.array([-1.0, 1.0 - f_target])
     return _gram(model), m.T @ _target_vector(target), rows, h
 
@@ -276,12 +291,12 @@ def _honest_probs(x: np.ndarray, row: np.ndarray, f_target: float):
     return np.eye(base.size)[a], f_a  # e_a
 
 
-def _solve_qp(gram, mtw, rows, h, x0):
+def _solve_qp(gram, mtw, rows, h, x0, face=None):
     # Resolved at call time, so that a wrapper installed on
     # stabapprox.qp.solve_lsq_qp (the benchmark's tracer) sees every QP.
     from .qp import solve_lsq_qp
 
-    res = solve_lsq_qp(gram, mtw, rows, h, x0)
+    res = solve_lsq_qp(gram, mtw, rows, h, x0, face=face)
     if not res.converged:
         raise SolverError(
             f"active-set QP did not converge (kkt residual {res.kkt_residual:.3e})"
@@ -356,7 +371,8 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
 
     # The simplex-only optimum bounds every honest distance from below: if making it
     # honest on its worst input costs at most _HONESTY_COST_MAX, no descent can do better.
-    p = _solve_qp(gram, mtw, rows[:-1], h[:-1], np.zeros(m.shape[1])).x
+    simplex = _solve_qp(gram, mtw, rows[:-1], h[:-1], np.zeros(m.shape[1]), ())
+    p = simplex.x
     frees = _free_witnesses(model, p)
     row = _honesty_row(model, frees[0])
     if row.max() >= h[-1]:  # else no mixture is honest on that input
@@ -364,10 +380,9 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
         if distance - objective(m @ p) <= _HONESTY_COST_MAX:
             return finish(probs, f_row, True, 1, 0)
 
-    starts = np.vstack([frees, _START_WITNESSES])
+    starts = [_honesty_row(model, r) for r in frees] + list(_fixed_rows(model)[1:])
     ends, end_chis, first_rows = [], np.empty((0, m.shape[0])), set()
-    for r in starts:
-        row = _honesty_row(model, r)
+    for row in starts:
         # A descent is fixed by its first row, so a repeated row would repeat
         # an end already in ends.
         if row.tobytes() in first_rows:
@@ -375,10 +390,13 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
         first_rows.add(row.tobytes())
         if row.max() < h[-1]:
             continue  # no mixture is honest on this input
-        p, trail = _vertex_start(row, h[-1]), []
+        # The first QP starts on the simplex-only optimum's face with the
+        # honesty row added, each later one on the face its predecessor ended on.
+        p, face, trail = _vertex_start(row, h[-1]), simplex.active + (m.shape[1] + 1,), []
         for qps in range(1, _DESCENT_MAX_QPS + 1):
             rows[-1] = row
-            p = _solve_qp(gram, mtw, rows, h, p).x
+            res = _solve_qp(gram, mtw, rows, h, p, face)
+            p, face = res.x, res.active
             # The QP's chi is unique and fixes the next witness, so a descent
             # whose chi has come back to an earlier end's can only find that
             # end; so, once it converges linearly, can one whose limit has.

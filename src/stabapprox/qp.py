@@ -30,6 +30,24 @@ d_j < 0, so no combination of the rows of A vanishes off column j (it
 would vanish on d).  So A has at most |F| rows, and at |F| it is square and
 nonsingular: the step is 0, and LU solves A^T nu = (b - G x)_F in place of
 the KKT system.
+
+A solve may instead start on a face, a guessed working set (the worst-case
+descent passes the one its last QP ended on).  One LU solve of the face's
+KKT system,
+
+    [ G_FF   A^T ] [ x_F ]   [ b_F ]
+    [  A      0  ] [ nu  ] = [ h_W ],
+
+held to the same 1e-10 residual test, gives the minimiser of the objective
+on the face and its multipliers.  Where it passes and that minimiser is
+feasible, the solve starts there, with the face as its working set and nu
+as its first iteration's multipliers: a face that is still optimal returns
+after that one LU solve, with no rank test.  Otherwise the solve starts
+from x0 as above.  The loop needs the face's rows independent: dependent
+rows make the KKT matrix singular, so LU fails on it or leaves a residual
+above the test, unless h_W satisfies the same dependency.  A singular G_FF
+alone does no harm: the empty face of cc's and cmc's rank-deficient Gram
+matrices can pass the test, and a feasible x with G x = b is optimal.
 """
 
 from __future__ import annotations
@@ -73,7 +91,49 @@ def kkt_residual(gram, mtw, rows, h, x, active: list[int]) -> float:
     return max(stat, comp, max(feas, 0.0))
 
 
-def solve_lsq_qp(gram, mtw, rows, h, x0) -> QPResult:
+def _kkt(gram, a, free):
+    """The KKT matrix [[G_FF, A^T], [A, 0]] of working rows A over free variables F."""
+    nf, ne = free.size, a.shape[0]
+    kkt = np.zeros((nf + ne, nf + ne))
+    kkt[:nf, :nf] = gram[free[:, None], free]
+    kkt[:nf, nf:] = a.T
+    kkt[nf:, :nf] = a
+    return kkt
+
+
+def _lu_solve(kkt, rhs):
+    """kkt^-1 rhs by LU, or None where LU fails (a singular system, as at an
+    interior start) or leaves a residual above 1e-10 relative to rhs."""
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    return sol if np.linalg.norm(kkt @ sol - rhs) <= 1e-10 * np.linalg.norm(rhs) else None
+
+
+def _face_start(gram, mtw, rows, h, face):
+    """(x, work, general, nu) at the minimiser x of x^T G x - 2 b^T x on the
+    face (fixed variables j and rows n + i held with equality), with nu its
+    rows' multipliers in the loop's convention; None where _lu_solve fails
+    on the face's KKT system or x is infeasible."""
+    n = mtw.size
+    work = np.zeros(n + len(h), dtype=bool)
+    work[list(face)] = True
+    general = [c - n for c in face if c >= n]
+    free = (~work[:n]).nonzero()[0]
+    kkt = _kkt(gram, rows[general][:, free], free)
+    sol = _lu_solve(kkt, np.concatenate([mtw[free], h[general]]))
+    if sol is None:
+        return None
+    x = np.zeros(n)
+    x[free] = sol[:free.size]
+    idle = ~work[n:]
+    if x.min(initial=0.0) < 0.0 or (rows[idle] @ x - h[idle]).min(initial=0.0) < 0.0:
+        return None
+    return x, work, general, sol[free.size:]
+
+
+def solve_lsq_qp(gram, mtw, rows, h, x0, face=None) -> QPResult:
     """Active-set minimization of x^T G x - 2 b^T x over {x >= 0, R x >= h},
     with G = gram and b = mtw.
 
@@ -81,6 +141,10 @@ def solve_lsq_qp(gram, mtw, rows, h, x0) -> QPResult:
     within 1e-12 of 0 and each tight row that raises the rank of the working
     rows restricted to the free variables; the module docstring says why the
     working rows stay independent from there on.
+
+    face, a working set in QPResult.active's format, is a guess of the
+    optimal one: where its minimiser solves and is feasible the solve starts
+    there instead (the module docstring has the rules), else from x0.
     """
     gram, mtw = np.asarray(gram, dtype=float), np.asarray(mtw, dtype=float)
     rows = np.array(rows, dtype=float, ndmin=2)  # copies: the result keeps these rows
@@ -94,16 +158,22 @@ def solve_lsq_qp(gram, mtw, rows, h, x0) -> QPResult:
     if worst < -1e-9:
         raise ValueError(f"infeasible starting point, worst slack {worst:.3e}")
     # work[j] fixes variable j at 0; work[n + i] holds row i, and general
-    # lists the working rows in the order they entered.
-    work = np.concatenate([x <= 1e-12, np.zeros(len(h), dtype=bool)])
+    # lists the working rows in the order they entered.  face_nu holds the
+    # face start's multipliers for its first iteration.
+    start = None if face is None else _face_start(gram, mtw, rows, h, face)
+    if start is None:
+        work = np.concatenate([x <= 1e-12, np.zeros(len(h), dtype=bool)])
+        x[work[:n]] = 0.0
+        general: list[int] = []
+        for i in (slack <= 1e-12).nonzero()[0]:
+            trial = rows[general + [i]][:, ~work[:n]]
+            if np.linalg.matrix_rank(trial, tol=1e-12) == len(general) + 1:
+                general.append(int(i))
+                work[n + i] = True
+        face_nu = None
+    else:
+        x, work, general, face_nu = start
     fixed = work[:n]
-    x[fixed] = 0.0
-    general: list[int] = []
-    for i in (slack <= 1e-12).nonzero()[0]:
-        trial = rows[general + [i]][:, ~fixed]
-        if np.linalg.matrix_rank(trial, tol=1e-12) == len(general) + 1:
-            general.append(int(i))
-            work[n + i] = True
 
     for it in range(1, _MAX_ITER + 1):
         free = (~fixed).nonzero()[0]
@@ -111,22 +181,19 @@ def solve_lsq_qp(gram, mtw, rows, h, x0) -> QPResult:
         a = rows[general][:, free]
         descent = mtw - gram @ x  # minus half the gradient
         d, zero = np.zeros(n), 1e-13 * max(1.0, np.abs(x).max())  # zero-step test
-        if ne >= nf:
+        if face_nu is not None:  # x minimises the face start's working set
+            nu, face_nu = face_nu, None
+        elif ne >= nf:
             # ne == nf: the working rows fix every free variable and the step is
             # 0, which an ill-conditioned KKT system can miss by roundoff steps.
             nu = np.linalg.solve(a.T, descent[free])
         else:
-            kkt = np.zeros((nf + ne, nf + ne))
-            kkt[:nf, :nf] = gram[free[:, None], free]
-            kkt[:nf, nf:] = a.T
-            kkt[nf:, :nf] = a
+            kkt = _kkt(gram, a, free)
             rhs = np.concatenate([descent[free], np.zeros(ne)])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:  # singular, as at an interior start
-                sol = np.full(nf + ne, np.nan)  # fails both tests below
-            ok = np.linalg.norm(kkt @ sol - rhs) <= 1e-10 * np.linalg.norm(rhs)
-            if not (ok and (descent[free] @ sol[:nf] > 0.0 or np.abs(sol[:nf]).max() <= zero)):
+            sol = _lu_solve(kkt, rhs)
+            sound = sol is not None and (
+                descent[free] @ sol[:nf] > 0.0 or np.abs(sol[:nf]).max() <= zero)
+            if not sound:
                 sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
             d[free], nu = sol[:nf], sol[nf:]
 

@@ -397,6 +397,69 @@ def test_worst_case_descent_never_solves_the_row_it_just_solved(monkeypatch):
             assert qps[0] <= 6
 
 
+def test_worst_case_descent_qps_start_on_the_face_before_them(monkeypatch):
+    # Each descent QP starts on the face its predecessor ended on, the first
+    # on the simplex-only optimum's face plus the honesty row.  With every
+    # face dropped the same QPs reach the same ends, in more iterations.
+    from stabapprox import qp
+
+    solve_lsq_qp, iterations = qp.solve_lsq_qp, []
+
+    def counted(*args, face=None):
+        res = solve_lsq_qp(*args, face=face)
+        iterations.append(res.iterations)
+        return res
+
+    adc = adc_problem(0.25, "pc").target
+    randoms = sa.random_chi_batch(sa.RandomChannelSpec(seed=2026, count=3))
+    problems = [(adc, "pc"), (adc, "cc")]
+    problems += [(chi, model) for chi in randoms for model in sa.MODELS]
+
+    def run(qp_solve):
+        monkeypatch.setattr(qp, "solve_lsq_qp", qp_solve)
+        runs = []
+        for chi, model in problems:
+            iterations.clear()
+            result = sa.solve(sa.ApproximationProblem(chi, model, "worst"))
+            assert result.f_model <= result.f_target, model
+            runs.append((result, len(iterations), sum(iterations)))
+        return runs
+
+    warm = run(counted)
+    cold = run(lambda *args, face=None: counted(*args))
+    for (a, qps_a, _), (b, qps_b, _) in zip(warm, cold):
+        assert qps_a == qps_b, a.model
+        assert (a.converged, a.restarts_used) == (b.converged, b.restarts_used), a.model
+        assert a.distance == pytest.approx(b.distance, abs=1e-12), a.model
+    assert sum(its for *_, its in warm) < sum(its for *_, its in cold)
+
+
+def test_worst_case_solve_carries_no_state_across_solves():
+    # The fixed honesty rows are cached per model, read-only, and each
+    # descent's faces live only inside its solve: a target's answer is
+    # bitwise the same alone (on empty caches), after and between other
+    # targets' solves.
+    approximate = sa.approximate
+    chi, *others = sa.random_chi_batch(sa.RandomChannelSpec(seed=2026, count=3))
+    others.append(adc_problem(0.25, "pc").target)
+
+    def answer(target, model):
+        r = sa.solve(sa.ApproximationProblem(target, model, "worst"))
+        return (r.distance, r.f_model, r.f_target, r.params.probs.tobytes(),
+                r.iterations, r.converged, r.restarts_used, r.support)
+
+    for model in sa.MODELS:
+        for cache in (approximate._model_matrix, approximate._gram, approximate._fixed_rows):
+            cache.cache_clear()
+        alone = answer(chi, model)
+        answer(others[0], model)
+        assert answer(chi, model) == alone, model
+        answer(others[1], model)
+        assert answer(chi, model) == alone, model
+        answer(others[2], model)
+        assert answer(chi, model) == alone, model
+
+
 def worst_repair_targets():
     adc = adc_problem(0.25, "pc").target
     return [adc, *sa.random_chi_batch(sa.RandomChannelSpec(seed=2026, count=2))]

@@ -123,20 +123,30 @@ def test_rank_deficient_problems_converge_to_the_reference_optimum():
         assert float(x @ gram @ x - 2.0 * mtw @ x) <= ref.fun + 1e-9
 
 
-def test_objective_never_rises_between_iterations(monkeypatch):
-    # The iterate after k iterations, read by cutting the solve there, is
-    # never worse than the one after k - 1, beyond roundoff, and its working
-    # rows never outnumber its free variables (the invariant that lets a
-    # zero step solve for the multipliers by LU).
+def objective(gram, mtw, x) -> float:
+    return float(x @ gram @ x - 2.0 * mtw @ x)
+
+
+def iterates_never_rise(monkeypatch, from_face: bool) -> None:
+    """Cut the solves of 50 seeded draws after each iteration: the objective
+    never rises beyond roundoff, and the working rows never outnumber the
+    free variables (the invariant that lets a zero step solve for the
+    multipliers by LU).  With from_face each solve starts on the optimal
+    face of its problem with the honesty bound halved; a face start begins
+    at its face's minimiser, which may lie above x0, so there the objective
+    is followed from the first iterate on."""
     rng, budget = np.random.default_rng(3), qp._MAX_ITER
     for _ in range(50):
         gram, mtw, rows, h, x0 = random_problem(rng)
         n = x0.size
-        before = float(x0 @ gram @ x0 - 2.0 * mtw @ x0)
+        face, before = None, objective(gram, mtw, x0)
+        if from_face:
+            face = solve_lsq_qp(gram, mtw, rows, h * [1.0, 0.5], 0.5 * x0).active
+            before = np.inf
         for k in range(1, budget + 1):
             monkeypatch.setattr(qp, "_MAX_ITER", k)
-            res = solve_lsq_qp(gram, mtw, rows, h, x0)
-            after = float(res.x @ gram @ res.x - 2.0 * mtw @ res.x)
+            res = solve_lsq_qp(gram, mtw, rows, h, x0, face=face)
+            after = objective(gram, mtw, res.x)
             assert after <= before + 1e-12 * max(1.0, abs(before)), k
             fixed = sum(c < n for c in res.active)
             assert sum(c >= n for c in res.active) <= n - fixed, k
@@ -144,6 +154,14 @@ def test_objective_never_rises_between_iterations(monkeypatch):
                 break
             before = after
         assert res.converged
+
+
+def test_objective_never_rises_between_iterations(monkeypatch):
+    iterates_never_rise(monkeypatch, from_face=False)
+
+
+def test_objective_never_rises_between_iterations_from_a_face(monkeypatch):
+    iterates_never_rise(monkeypatch, from_face=True)
 
 
 def nth_random_problem(seed: int, draw: int):
@@ -195,3 +213,70 @@ def test_random_problem_with_a_squeezed_honesty_row_converges():
     res = solve_lsq_qp(gram, mtw, rows, h, x0)
     assert res.converged
     assert res.kkt_residual <= 1e-9
+
+
+def same_solve(a, b) -> bool:
+    """Bitwise the same result: x, iterations, converged and working set."""
+    return (a.x.tobytes(), a.iterations, a.converged, a.active) == (
+        b.x.tobytes(), b.iterations, b.converged, b.active)
+
+
+def test_face_start_on_the_optimal_face_returns_after_one_iteration():
+    # Re-solved from its own working set, a problem's face start is its
+    # optimum: one LU solve, and the multiplier test passes at once.
+    rng = np.random.default_rng(1107)
+    for _ in range(60):
+        problem = random_problem(rng)
+        cold = solve_lsq_qp(*problem)
+        warm = solve_lsq_qp(*problem, face=cold.active)
+        assert warm.converged and warm.iterations == 1
+        assert warm.active == cold.active
+        assert np.abs(warm.x - cold.x).max() <= 1e-12
+
+
+def test_face_start_after_a_honesty_row_change_reaches_the_cold_optimum():
+    # The descent's case: the face of the last QP, with only the honesty
+    # row changed.  The face start must certify the same optimum.
+    rng = np.random.default_rng(5)
+    solved = cold_its = warm_its = 0
+    for _ in range(60):
+        gram, mtw, rows, h, x0 = random_problem(rng)
+        face = solve_lsq_qp(gram, mtw, rows, h, x0).active
+        rows[1] *= rng.uniform(0.8, 1.2, size=x0.size)
+        a = int(np.argmax(rows[1]))
+        if h[1] > rows[1, a]:
+            continue  # no vertex start for the new row
+        x0 = np.eye(x0.size)[a] * (h[1] / rows[1, a])
+        cold = solve_lsq_qp(gram, mtw, rows, h, x0)
+        warm = solve_lsq_qp(gram, mtw, rows, h, x0, face=face)
+        assert warm.converged
+        assert warm.kkt_residual <= 1e-9
+        best = objective(gram, mtw, cold.x)
+        assert abs(objective(gram, mtw, warm.x) - best) <= 1e-12 * max(1.0, abs(best))
+        cold_its, warm_its = cold_its + cold.iterations, warm_its + warm.iterations
+        solved += 1
+    assert solved >= 50
+    assert warm_its < cold_its
+
+
+def test_unusable_face_starts_from_x0_as_without_a_face():
+    # A face whose minimiser is infeasible (one free variable j with
+    # b_j < 0, so x_j = b_j / G_jj < 0), or whose KKT system is singular
+    # (no working set on a rank-deficient Gram matrix), is not used: the
+    # solve is bitwise the one from x0 alone.
+    rng = np.random.default_rng(1107)
+    infeasible = singular = 0
+    for _ in range(60):
+        problem = random_problem(rng)
+        gram, mtw, _, _, x0 = problem
+        n = x0.size
+        cold = solve_lsq_qp(*problem)
+        negative = (mtw < 0.0).nonzero()[0]
+        if negative.size:
+            face = tuple(k for k in range(n) if k != negative[0])
+            assert same_solve(solve_lsq_qp(*problem, face=face), cold)
+            infeasible += 1
+        if np.linalg.matrix_rank(gram) < n:
+            assert same_solve(solve_lsq_qp(*problem, face=()), cold)
+            singular += 1
+    assert infeasible >= 50 and singular >= 50
