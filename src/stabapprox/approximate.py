@@ -20,26 +20,45 @@ _vertex_start picks.
   generator a; the average row is the case r = 0.  The worst-case problem
   is the minimum over unit r of that QP.
 
-The worst case is solved by alternating descent from start witnesses:
+Two facts about the generators' forms q_a(r) = r.H_a.r + 2 g_a.r + c_a,
+each decided once per model from generator_quadratics, shorten the worst
+case:
+
+* Unital models (every g_a = 0, as on pc and cc).  A mixture's form then
+  has g = 0, so on the unit sphere it is c + r.H.r, least at the first
+  eigenvector of H: the witness is read off one eigh, and it is
+  min_quadratic_form's minimiser up to the signs of zero entries.
+* Axis-witnessed models (unital with every H_a diagonal, as on pc).  A
+  mixture's fidelity on a unit r is c + sum_k H_kk r_k^2, a mean of the
+  c + H_kk weighted by r_k^2, so it is least on an axis state.  The honest
+  mixtures are then those honest on one of the three axis rows (+-e_k
+  share a row), and the worst-case optimum is the best of those three
+  convex QPs, a global optimum found without descent.
+
+Every other model is solved by alternating descent from start witnesses:
 p <- QP(r), then r <- the worst input of p.  The previous p stays feasible
 for the new row, so the distance never increases along a descent; the best
 descent wins.
 
 * Starts.  If making the simplex-only optimum honest on its worst input
-  costs at most 1e-15 in distance, no descent can do better and it is
-  kept.  Otherwise the first start is that worst input, or 12 points of its
-  worst inputs where those form a circle, and the other 14 are the axis
-  states and the cube diagonals.  A descent is fixed by its first row, so a
-  start whose row repeats an earlier start's row is not descended again
-  (without a measurement generator q_a(r) = q_a(-r), so r and -r share a
-  row, which leaves at most 5 descents on pc and 8 on cc).
+  costs at most 1e-15 in distance, no descent (and no axis QP) can do
+  better and it is kept.  Otherwise an axis-witnessed model solves its
+  three axis QPs, each from its vertex start, makes each end honest on its
+  own row and keeps the least (the first on a tie).  On the other models
+  the first start is that worst input, or 12 points of its worst inputs
+  where those form a circle, and the other 14 are the axis states and the
+  cube diagonals.  A descent is fixed by its first row, so a start whose
+  row repeats an earlier start's row is not descended again (without a
+  measurement generator q_a(r) = q_a(-r), so r and -r share a row, which
+  leaves at most 8 descents on cc).
 * Faces.  Consecutive descent QPs differ only in their honesty row, so
   each starts on a face (stabapprox.qp): the simplex-only QP on the empty
-  one, its unconstrained minimiser; a descent's first QP on the
-  simplex-only optimum's working set plus the honesty row; every later QP
-  on the working set of the QP before it.  Where a face's minimiser fails
-  its LU solve or is infeasible, the QP starts as before: from 0, the
-  vertex start or the previous p.  The average QP takes no face.
+  one, its unconstrained minimiser; a descent's first QP, and each axis
+  QP, on the simplex-only optimum's working set plus the honesty row;
+  every later QP on the working set of the QP before it.  Where a face's
+  minimiser fails its LU solve or is infeasible, the QP starts as before:
+  from 0, the vertex start or the previous p.  The average QP takes no
+  face.
 * Stops.  A descent stops, counted as converged, once its next row is
   within 1e-9 (largest entry) of the row its last QP solved: a QP started
   at its own optimum returns it, so a descent never solves the same row
@@ -312,13 +331,39 @@ def _solve_average(problem: ApproximationProblem) -> ApproximationResult:
     return _finish(problem, probs, f_target, f_model, True, res.iterations, 0)
 
 
-def _worst_input(model: str, p: np.ndarray) -> tuple[float, np.ndarray]:
-    """(worst fidelity, witness Bloch vector) of the mixture with raw
-    probabilities p."""
+@lru_cache(maxsize=None)
+def _unital(model: str) -> bool:
+    """Whether every generator's g_a is 0: then so is every mixture's g, and
+    a mixture's worst input is the first eigenvector of its H."""
+    return not generator_quadratics(model)[1].any()
+
+
+@lru_cache(maxsize=None)
+def _axis_witnessed(model: str) -> bool:
+    """Whether, besides g_a = 0, every H_a is diagonal: then a mixture's
+    fidelity on a unit r is c + sum_k H_kk r_k^2, least on an axis state."""
+    hs = generator_quadratics(model)[0]
+    return _unital(model) and not (hs * (1.0 - np.eye(3))).any()
+
+
+def _mixture_form(model: str, p: np.ndarray):
+    """(H, g, c) of the fidelity integrand of the mixture with raw
+    probabilities p, with H symmetrised as min_quadratic_form takes it."""
     hs, gs, cs = generator_quadratics(model)
     h = (p @ hs.reshape(p.size, 9)).reshape(3, 3)
-    c = 1.0 - float(p.sum()) + float(p @ cs)
-    return min_quadratic_form(h, p @ gs, c, domain="pure")
+    return (h + h.T) / 2.0, p @ gs, 1.0 - float(p.sum()) + float(p @ cs)
+
+
+def _worst_input(model: str, p: np.ndarray, eig=None) -> tuple[float, np.ndarray]:
+    """(worst fidelity, witness Bloch vector) of the mixture with raw
+    probabilities p.  On a unital model the witness is the first eigenvector
+    of H, from eig (eigh's output for H) where given: min_quadratic_form's
+    minimiser where g = 0, up to the signs of zero entries."""
+    h, g, c = _mixture_form(model, p)
+    if not _unital(model):
+        return min_quadratic_form(h, g, c, domain="pure")
+    r = (np.linalg.eigh(h) if eig is None else eig)[1][:, 0]
+    return float(r @ h @ r + c), r
 
 
 def _free_witnesses(model: str, p: np.ndarray) -> np.ndarray:
@@ -328,9 +373,9 @@ def _free_witnesses(model: str, p: np.ndarray) -> np.ndarray:
     degrees apart, from the one nearest the first start witness off the
     plane's normal.  eigh's basis of the plane is roundoff, and descents from
     different points of the circle can end far apart."""
-    hs, gs, _ = generator_quadratics(model)
-    lam, q = np.linalg.eigh((p @ hs.reshape(p.size, 9)).reshape(3, 3))
-    b, r, plane = q.T @ (p @ gs), _worst_input(model, p)[1], q[:, :2]
+    h, g, _ = _mixture_form(model, p)
+    lam, q = eig = np.linalg.eigh(h)
+    b, r, plane = q.T @ g, _worst_input(model, p, eig)[1], q[:, :2]
     tol, rho = 1e-13 * max(1.0, np.abs(lam).max(), np.linalg.norm(b)), np.linalg.norm(r @ plane)
     if lam[1] - lam[0] > tol or np.abs(b[:2]).max() > tol or rho <= 1e-6:
         return r[None]
@@ -380,6 +425,20 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
         if distance - objective(m @ p) <= _HONESTY_COST_MAX:
             return finish(probs, f_row, True, 1, 0)
 
+    if _axis_witnessed(model):
+        # Every mixture's worst input is an axis state (+-e_k share a row), so the
+        # optimum is the best of the three axis rows' convex QPs.
+        face, ends = simplex.active + (m.shape[1] + 1,), []
+        for row in _fixed_rows(model)[1:4]:
+            if row.max() >= h[-1]:  # else no mixture is honest on this axis
+                rows[-1] = row
+                res = _solve_qp(gram, mtw, rows, h, _vertex_start(row, h[-1]), face)
+                ends.append(honest(res.x, row))
+        if not ends:
+            raise SolverError("no start witness admits an honest mixture")
+        _, probs, f_row = min(ends, key=lambda end: end[0])
+        return finish(probs, f_row, True, 1, 1 + len(_START_WITNESSES))
+
     starts = [_honesty_row(model, r) for r in frees] + list(_fixed_rows(model)[1:])
     ends, end_chis, first_rows = [], np.empty((0, m.shape[0])), set()
     for row in starts:
@@ -428,8 +487,9 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
 def solve(problem: ApproximationProblem) -> ApproximationResult:
     """Best honest approximation of the target by the requested mixture:
     under "avg" the global optimum of the convex QP, under "worst" the best
-    end of the descents the module docstring describes.  Deterministic, and
-    f_model <= f_target holds exactly.
+    of the three axis QPs on an axis-witnessed model (pc), again a global
+    optimum, and else the best end of the descents the module docstring
+    describes.  Deterministic, and f_model <= f_target holds exactly.
 
     distance is the normalized Hilbert-Schmidt distance to the target;
     f_target and f_model are the fidelities the constraint names, except
@@ -437,10 +497,13 @@ def solve(problem: ApproximationProblem) -> ApproximationResult:
     witness row and its minimum over pure inputs.  support lists the
     generators above SUPPORT_THRESHOLD, largest first.  iterations counts
     the QP's iterations under "avg" and the winning descent's QPs under
-    "worst".  restarts_used is 0 under "avg" and where the simplex-only
-    optimum is kept, else 15 (the start witnesses, a circle counted once and
-    repeated rows included).  converged says whether the winning descent
-    met a stop rule before its QP budget ran out (true under "avg").
+    "worst", 1 on an axis-witnessed model (its winning axis QP).
+    restarts_used is 0 under "avg" and where the simplex-only optimum is
+    kept, else 15 (the start witnesses, a circle counted once and repeated
+    rows included), also on an axis-witnessed model, whose three axis rows
+    stand for them.  converged says whether the winning descent met a stop
+    rule before its QP budget ran out; it is true under "avg" and on an
+    axis-witnessed model, which runs no descent.
     """
     if problem.constraint not in CONSTRAINT_KINDS:
         raise ValueError(

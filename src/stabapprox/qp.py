@@ -42,12 +42,16 @@ held to the same 1e-10 residual test, gives the minimiser of the objective
 on the face and its multipliers.  Where it passes and that minimiser is
 feasible, the solve starts there, with the face as its working set and nu
 as its first iteration's multipliers: a face that is still optimal returns
-after that one LU solve, with no rank test.  Otherwise the solve starts
-from x0 as above.  The loop needs the face's rows independent: dependent
-rows make the KKT matrix singular, so LU fails on it or leaves a residual
-above the test, unless h_W satisfies the same dependency.  A singular G_FF
-alone does no harm: the empty face of cc's and cmc's rank-deficient Gram
-matrices can pass the test, and a feasible x with G x = b is optimal.
+after that one LU solve.  Otherwise the solve starts from x0 as above.
+The loop needs the face's rows independent, so a face whose rows are
+dependent over its free variables (more rows than free variables, or the
+start's rank test on two or more rows) is rejected before its LU solve:
+their KKT matrix is singular, yet LU passes the residual test where h_W
+satisfies the same dependency.  A lone row that vanishes on the free
+variables makes the KKT matrix exactly singular, which LU rejects.  A
+singular G_FF alone does no harm: the empty face of cc's and cmc's
+rank-deficient Gram matrices can pass the test, and a feasible x with
+G x = b is optimal.
 """
 
 from __future__ import annotations
@@ -114,14 +118,18 @@ def _lu_solve(kkt, rhs):
 def _face_start(gram, mtw, rows, h, face):
     """(x, work, general, nu) at the minimiser x of x^T G x - 2 b^T x on the
     face (fixed variables j and rows n + i held with equality), with nu its
-    rows' multipliers in the loop's convention; None where _lu_solve fails
-    on the face's KKT system or x is infeasible."""
+    rows' multipliers in the loop's convention; None where the face's rows
+    are dependent over its free variables, _lu_solve fails on its KKT system
+    or x is infeasible."""
     n = mtw.size
     work = np.zeros(n + len(h), dtype=bool)
     work[list(face)] = True
     general = [c - n for c in face if c >= n]
     free = (~work[:n]).nonzero()[0]
-    kkt = _kkt(gram, rows[general][:, free], free)
+    a, ne = rows[general][:, free], len(general)
+    if ne > free.size or (ne > 1 and np.linalg.matrix_rank(a, tol=1e-12) < ne):
+        return None
+    kkt = _kkt(gram, a, free)
     sol = _lu_solve(kkt, np.concatenate([mtw[free], h[general]]))
     if sol is None:
         return None

@@ -9,8 +9,9 @@ import pytest
 from scipy.optimize import minimize
 
 import stabapprox as sa
+from stabapprox.approximate import _honesty_row, _qp_data, _vertex_start
 from stabapprox.qp import solve_lsq_qp
-from helpers import average_qp
+from helpers import average_qp, fibonacci_sphere
 
 
 def adc_problem(gamma, model, constraint="avg"):
@@ -255,11 +256,11 @@ def test_worst_case_keeps_an_honest_simplex_only_optimum():
 
 def test_worst_case_descends_once_per_distinct_start_row(monkeypatch):
     # pc and cc hold no measurement generator, so each q_a(r) = q_a(-r) and
-    # the start witnesses +-e_i, and +-d for each cube diagonal d (on pc all
-    # 8 diagonals), give one honesty row: their descents would repeat one
-    # another.  pmc and cmc break that symmetry.  Each descent end is made
-    # honest once, on its last QP's row, after the one call for the
-    # simplex-only optimum.
+    # the start witnesses +-e_i, and +-d for each cube diagonal d, give one
+    # honesty row: their descents would repeat one another.  pc runs no
+    # descent, only one QP per axis row.  pmc and cmc break that symmetry.
+    # Each end is made honest once, on its last QP's row, after the one
+    # call for the simplex-only optimum.
     approximate = sa.approximate
     calls = []
     honest_probs = approximate._honest_probs
@@ -284,7 +285,7 @@ def test_worst_case_descends_once_per_distinct_start_row(monkeypatch):
 
     adc = adc_problem(0.25, "pc").target
     other = sa.random_chi_batch(sa.RandomChannelSpec(seed=2026, count=1))[0]
-    for model, most in (("pc", 5), ("cc", 8)):
+    for model, most in (("pc", 3), ("cc", 8)):
         for chi in (adc, other):
             result, count = descents(chi, model)
             assert 1 <= count <= most, model
@@ -365,8 +366,9 @@ def test_worst_case_descent_never_solves_the_row_it_just_solved(monkeypatch):
     # A QP started from its own optimum returns that optimum, so a descent
     # whose next honesty row equals the row its last QP solved stops there.
     # Descents are delimited by the _honest_probs call that ends each.  On
-    # ADC gamma = 0.25, pc's descents stop at their second QP: 6 QPs in
-    # all, simplex-only QP included, against 9 without the stop.
+    # ADC gamma = 0.25, pc runs no descent: its simplex-only QP and three
+    # axis QPs are 4 QPs in all, against 6 when its descents stopped at
+    # their second QP and 9 without the stop.
     approximate = sa.approximate
     events, qps = [], [0]
     solve_qp, honest_probs = approximate._solve_qp, approximate._honest_probs
@@ -390,11 +392,11 @@ def test_worst_case_descent_never_solves_the_row_it_just_solved(monkeypatch):
         qps[0] = 0
         result = sa.solve(sa.ApproximationProblem(chi, model, "worst"))
         assert result.converged and result.f_model <= result.f_target, model
-        assert sum(event is None for event in events) > 1, model  # a descent ran
+        assert sum(event is None for event in events) > 1, model  # an end was made honest
         for last, row in zip(events, events[1:]):
             assert last is None or row is None or not np.array_equal(last, row), model
         if chi is adc and model == "pc":
-            assert qps[0] <= 6
+            assert qps[0] <= 4
 
 
 def test_worst_case_descent_qps_start_on_the_face_before_them(monkeypatch):
@@ -503,6 +505,52 @@ def test_worst_f_model_is_the_mixture_worst_fidelity():
         quadratic = sa.chi_fidelity_quadratic(sa.mixture_chi(result.params).matrix)
         exact = sa.metrics.worst_of_quadratic(*quadratic)[0]
         assert result.f_model == pytest.approx(exact, abs=1e-12), model
+
+
+def test_pc_worst_case_is_the_global_optimum():
+    # Oracle built from the QP data alone: the optimum of the witness-r QP is
+    # honest on r, so it bounds the worst-case optimum from above for every
+    # unit r; the pc answer must lie below each such bound over a sphere of
+    # witness rows, and reach the best of them, which the axis states hold.
+    # A Pauli mixture's worst input is an axis state.
+    targets = sa.random_chi_batch(sa.RandomChannelSpec(seed=2026, count=20))
+    targets += [adc_problem(gamma, "pc").target for gamma in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    witnesses = np.vstack([np.eye(3), fibonacci_sphere(200)])
+    hs, gs, cs = sa.catalog.generator_quadratics("pc")
+    for index, chi in enumerate(targets):
+        result = sa.solve(sa.ApproximationProblem(chi, "pc", "worst"))
+        gram, mtw, rows, h = _qp_data(chi, "pc", result.f_target)
+        floor = sa.hs_distance(chi, sa.identity_chi())  # ||w||^2 / 8
+        bounds = []
+        for r in witnesses:
+            rows[-1] = _honesty_row("pc", r)
+            if rows[-1].max() >= h[-1]:  # else no mixture is honest on r
+                x = solve_lsq_qp(gram, mtw, rows, h, _vertex_start(rows[-1], h[-1])).x
+                bounds.append(floor + float(x @ gram @ x - 2.0 * mtw @ x) / 8.0)
+        assert result.distance <= min(bounds) + 1e-12, index
+        assert result.distance >= min(bounds) - 1e-12, index
+        p = result.params.probs
+        form = (np.tensordot(p, hs, 1), p @ gs, 1.0 - p.sum() + p @ cs)
+        witness = sa.metrics.min_quadratic_form(*form)[1]
+        assert np.sort(np.abs(witness)) == pytest.approx([0.0, 0.0, 1.0], abs=1e-12), index
+
+
+@pytest.mark.parametrize("model", sa.MODELS)
+def test_worst_input_is_the_minimum_of_the_mixture_form(model):
+    # Where every g_a is 0 (pc, cc) the witness is read off one eigh as the
+    # first eigenvector, which is min_quadratic_form's minimiser on g = 0
+    # up to the signs of zero entries (array_equal treats -0.0 as 0.0).
+    approximate = sa.approximate
+    rng = np.random.default_rng(1616)
+    n = len(sa.enumerate_generators(model))
+    for draw in range(200):
+        p = rng.dirichlet(np.ones(n + 1))[1:]
+        if draw % 2:
+            p[rng.random(n) < 0.6] = 0.0  # sparse mixtures, with ties on pc
+        value, witness = approximate._worst_input(model, p)
+        expected = sa.metrics.min_quadratic_form(*approximate._mixture_form(model, p))
+        assert value == expected[0], (model, draw)
+        assert np.array_equal(witness, expected[1]), (model, draw)
 
 
 def rotation_chi(axis, turns):

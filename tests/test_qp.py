@@ -280,3 +280,17 @@ def test_unusable_face_starts_from_x0_as_without_a_face():
             assert same_solve(solve_lsq_qp(*problem, face=()), cold)
             singular += 1
     assert infeasible >= 50 and singular >= 50
+    # A face whose rows are dependent over its free variables, here both
+    # saying sum(x) = 1 (more rows than free variables, or rank 1 of 2), is
+    # not used either.  With h consistent with that dependency its singular
+    # KKT system can pass the LU residual test, and entered with dependent
+    # rows the loop raised LinAlgError (mtw = M^T 1, the first face).
+    rng = np.random.default_rng(0)
+    m = rng.standard_normal((5, 3))
+    rows, h = np.array([[-1.0, -1.0, -1.0], [0.3, 0.3, 0.3]]), np.array([-1.0, 0.3])
+    for mtw in (m.T @ np.ones(5), m.T @ rng.standard_normal(5)):
+        for x0 in np.eye(3):
+            cold = solve_lsq_qp(m.T @ m, mtw, rows, h, x0)
+            assert cold.converged
+            for face in ((0, 1, 3, 4), (0, 3, 4)):
+                assert same_solve(solve_lsq_qp(m.T @ m, mtw, rows, h, x0, face=face), cold)
