@@ -10,7 +10,8 @@
 
 Each study runs the stabapprox CLI in-process, once per data file under
 --out-dir.  A run's stdout goes to its file; the random study's stderr, the
-JSON summary, goes to random_summary.json.
+JSON summary, goes to random_summary.json.  A run that fails writes no file:
+its stderr is printed and the script exits with its code.
 """
 
 import argparse
@@ -77,17 +78,20 @@ def main() -> None:
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
     for data, summary, argv in args.runs(args):
-        for name in filter(None, (data, summary)):
-            print(f"-> {args.out_dir / name}")
-        err = io.StringIO()
-        with open(args.out_dir / data, "w", encoding="utf-8") as fh:
-            with contextlib.redirect_stdout(fh), contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
                 code = cli.main(argv)
+            except SystemExit as exc:  # a usage error, which argparse reports by exiting
+                code = exc.code
         if code != 0:
             sys.stderr.write(err.getvalue())
             raise SystemExit(code)
-        if summary:
-            (args.out_dir / summary).write_text(err.getvalue(), encoding="utf-8")
+        # A data file is written only once its run has succeeded.
+        for name, text in ((data, out), (summary, err)):
+            if name:
+                (args.out_dir / name).write_text(text.getvalue(), encoding="utf-8")
+                print(f"-> {args.out_dir / name}")
 
 
 if __name__ == "__main__":

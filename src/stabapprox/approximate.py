@@ -42,15 +42,15 @@ descent wins.
 
 * Starts.  If making the simplex-only optimum honest on its worst input
   costs at most 1e-15 in distance, no descent (and no axis QP) can do
-  better and it is kept.  Otherwise an axis-witnessed model solves its
-  three axis QPs, each from its vertex start, makes each end honest on its
-  own row and keeps the least (the first on a tie).  On the other models
-  the first start is that worst input, or 12 points of its worst inputs
-  where those form a circle, and the other 14 are the axis states and the
-  cube diagonals.  A descent is fixed by its first row, so a start whose
-  row repeats an earlier start's row is not descended again (without a
-  measurement generator q_a(r) = q_a(-r), so r and -r share a row, which
-  leaves at most 8 descents on cc).
+  better and it is the one end.  Otherwise an axis-witnessed model's ends
+  are its three axis QPs, each from its vertex start; the other models' are
+  their descents, the first from that worst input, or 12 points of its
+  worst inputs where those form a circle, the other 14 from the axis states
+  and the cube diagonals.  Each end is made honest on its last QP's row and
+  the least distance wins (the first on a tie).  A descent is fixed by its
+  first row, so a start whose row repeats an earlier start's row is not
+  descended again (without a measurement generator q_a(r) = q_a(-r), so r
+  and -r share a row, which leaves at most 8 descents on cc).
 * Faces.  Consecutive descent QPs differ only in their honesty row, so
   each starts on a face (stabapprox.qp): the simplex-only QP on the empty
   one, its unconstrained minimiser; a descent's first QP, and each axis
@@ -405,42 +405,37 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
     def objective(chi):  # distance squared of the mixture with process matrix chi
         return float(np.sum((chi - w) ** 2)) / 8.0
 
-    def honest(p, row, *info):  # (distance, probs, f_row, *info) of p made honest on row
-        probs, f_row = _honest_probs(p, row, f_target)
-        return (objective(m @ probs), probs, f_row, *info)
+    def solve_on(row, x0, face):  # the QP with honesty row row, which it leaves in rows
+        rows[-1] = row
+        return _solve_qp(gram, mtw, rows, h, x0, face)
 
-    def finish(probs, f_row, *info):
-        # Both values are the integrand at a unit input: the lower is the better minimum.
-        f_model = max(min(_worst_input(model, probs)[0], f_row), 0.0)
-        return _finish(problem, probs, f_target, f_model, *info)
+    def end(p, row, qps, converged):  # (distance, probs, f_row, qps, converged), honest on row
+        probs, f_row = _honest_probs(p, row, f_target)
+        return (objective(m @ probs), probs, f_row, qps, converged)
 
     # The simplex-only optimum bounds every honest distance from below: if making it
-    # honest on its worst input costs at most _HONESTY_COST_MAX, no descent can do better.
+    # honest on its worst input costs at most _HONESTY_COST_MAX, it is the one end.
     simplex = _solve_qp(gram, mtw, rows[:-1], h[:-1], np.zeros(m.shape[1]), ())
-    p = simplex.x
+    p, ends, restarts = simplex.x, [], 1 + len(_START_WITNESSES)
     frees = _free_witnesses(model, p)
     row = _honesty_row(model, frees[0])
     if row.max() >= h[-1]:  # else no mixture is honest on that input
-        distance, probs, f_row = honest(p, row)
-        if distance - objective(m @ p) <= _HONESTY_COST_MAX:
-            return finish(probs, f_row, True, 1, 0)
-
-    if _axis_witnessed(model):
+        kept = end(p, row, 1, True)
+        if kept[0] - objective(m @ p) <= _HONESTY_COST_MAX:
+            ends, restarts = [kept], 0
+    # A descent's first QP, and each axis QP, starts on the simplex-only optimum's
+    # face with the honesty row added.
+    first_face, starts = simplex.active + (m.shape[1] + 1,), []
+    if not ends and _axis_witnessed(model):
         # Every mixture's worst input is an axis state (+-e_k share a row), so the
         # optimum is the best of the three axis rows' convex QPs.
-        face, ends = simplex.active + (m.shape[1] + 1,), []
         for row in _fixed_rows(model)[1:4]:
             if row.max() >= h[-1]:  # else no mixture is honest on this axis
-                rows[-1] = row
-                res = _solve_qp(gram, mtw, rows, h, _vertex_start(row, h[-1]), face)
-                ends.append(honest(res.x, row))
-        if not ends:
-            raise SolverError("no start witness admits an honest mixture")
-        _, probs, f_row = min(ends, key=lambda end: end[0])
-        return finish(probs, f_row, True, 1, 1 + len(_START_WITNESSES))
-
-    starts = [_honesty_row(model, r) for r in frees] + list(_fixed_rows(model)[1:])
-    ends, end_chis, first_rows = [], np.empty((0, m.shape[0])), set()
+                res = solve_on(row, _vertex_start(row, h[-1]), first_face)
+                ends.append(end(res.x, row, 1, True))
+    elif not ends:
+        starts = [_honesty_row(model, r) for r in frees] + list(_fixed_rows(model)[1:])
+    end_chis, first_rows = np.empty((0, m.shape[0])), set()
     for row in starts:
         # A descent is fixed by its first row, so a repeated row would repeat
         # an end already in ends.
@@ -449,12 +444,10 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
         first_rows.add(row.tobytes())
         if row.max() < h[-1]:
             continue  # no mixture is honest on this input
-        # The first QP starts on the simplex-only optimum's face with the
-        # honesty row added, each later one on the face its predecessor ended on.
-        p, face, trail = _vertex_start(row, h[-1]), simplex.active + (m.shape[1] + 1,), []
+        # Each QP after the first starts on the face its predecessor ended on.
+        p, face, trail = _vertex_start(row, h[-1]), first_face, []
         for qps in range(1, _DESCENT_MAX_QPS + 1):
-            rows[-1] = row
-            res = _solve_qp(gram, mtw, rows, h, p, face)
+            res = solve_on(row, p, face)
             p, face = res.x, res.active
             # The QP's chi is unique and fixes the next witness, so a descent
             # whose chi has come back to an earlier end's can only find that
@@ -477,11 +470,13 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
         # Ends are compared once honest on their last QP's row, rows[-1]: an end
         # that meets it only to within roundoff can cost far more (ADC gamma = 1,
         # cc: 0.5 vs 0.25).
-        ends.append(honest(p, rows[-1], qps, converged))
+        ends.append(end(p, rows[-1], qps, converged))
     if not ends:
         raise SolverError("no start witness admits an honest mixture")
-    _, probs, f_row, qps, converged = min(ends, key=lambda end: end[0])
-    return finish(probs, f_row, converged, qps, 1 + len(_START_WITNESSES))
+    _, probs, f_row, qps, converged = min(ends, key=lambda e: e[0])  # the first on a tie
+    # Both values are the integrand at a unit input: the lower is the better minimum.
+    f_model = max(min(_worst_input(model, probs)[0], f_row), 0.0)
+    return _finish(problem, probs, f_target, f_model, converged, qps, restarts)
 
 
 def solve(problem: ApproximationProblem) -> ApproximationResult:
@@ -496,14 +491,14 @@ def solve(problem: ApproximationProblem) -> ApproximationResult:
     that under "worst" f_model is the lower of the mixture's fidelity on its
     witness row and its minimum over pure inputs.  support lists the
     generators above SUPPORT_THRESHOLD, largest first.  iterations counts
-    the QP's iterations under "avg" and the winning descent's QPs under
-    "worst", 1 on an axis-witnessed model (its winning axis QP).
-    restarts_used is 0 under "avg" and where the simplex-only optimum is
-    kept, else 15 (the start witnesses, a circle counted once and repeated
-    rows included), also on an axis-witnessed model, whose three axis rows
-    stand for them.  converged says whether the winning descent met a stop
-    rule before its QP budget ran out; it is true under "avg" and on an
-    axis-witnessed model, which runs no descent.
+    the QP's iterations under "avg" and the winning end's QPs under
+    "worst": 1 for the kept simplex-only optimum and for an axis QP, else
+    the winning descent's.  restarts_used is 0 under "avg" and where the
+    simplex-only optimum is kept, else 15 (the start witnesses, a circle
+    counted once and repeated rows included), also on an axis-witnessed
+    model, whose three axis rows stand for them.  converged says whether
+    the winning descent met a stop rule before its QP budget ran out; it is
+    true under "avg" and for the two ends that run no descent.
     """
     if problem.constraint not in CONSTRAINT_KINDS:
         raise ValueError(
@@ -545,8 +540,11 @@ def solve_batch(
     failures as results with error set instead of aborting the batch.
 
     Targets are process matrices or Kraus channels; a Kraus channel is
-    solved on its process matrix.
+    solved on its process matrix.  An unknown model is no per-item failure:
+    it raises ValueError before the first solve.
     """
+    for model in models:  # raises ValueError on the first unknown model
+        enumerate_generators(model)
     results: list[ApproximationResult] = []
     for target in targets:
         chi = kraus_to_chi(target) if isinstance(target, KrausChannel) else target

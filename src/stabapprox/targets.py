@@ -51,6 +51,8 @@ class RandomChannelSpec:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def adc(spec: AdcSpec) -> KrausChannel:

@@ -814,6 +814,20 @@ def test_solve_batch_collects_only_typed_failures(monkeypatch, exc, collected):
             sa.solve_batch([sa.identity_chi()], ["pc"])
 
 
+@pytest.mark.parametrize(
+    "models, unknown", [(["pc", "xyz"], "'xyz'"), ("pc", "'p'")], ids=["list", "string"]
+)
+def test_solve_batch_rejects_an_unknown_model_before_any_solve(monkeypatch, models, unknown):
+    # A model name is no per-item failure: the whole batch is refused up
+    # front, naming the first unknown model.  A bare string iterates into
+    # one-letter models.
+    solves = []
+    monkeypatch.setattr(sa.approximate, "solve", lambda problem: solves.append(problem))
+    with pytest.raises(ValueError, match=unknown):
+        sa.solve_batch([sa.identity_chi()], models)
+    assert solves == []
+
+
 def test_solve_batch_kraus_target_matches_process_matrix():
     channels = [sa.adc(sa.AdcSpec(0.3)), sa.pol_xy(sa.PolSpec(np.pi / 7, 0.1))]
     from_kraus = sa.solve_batch(channels, list(sa.MODELS), "avg")

@@ -202,6 +202,11 @@ def test_random_requires_seed(capsys):
     capsys.readouterr()
 
 
+def test_random_negative_seed_exits_2_naming_the_seed(capsys):
+    code, out, err = run_cli(capsys, ["random", "--count", "1", "--seed", "-5"])
+    assert code == 2 and out == "" and "seed" in err
+
+
 def test_random_rows_summary_and_determinism(capsys):
     argv = ["random", "--count", "40", "--seed", "901"]
     code, out1, err1 = run_cli(capsys, argv)

@@ -93,6 +93,11 @@ def test_random_channel_spec_validation():
         sa.RandomChannelSpec(seed=0, count=0)
 
 
+def test_random_channel_spec_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+        sa.RandomChannelSpec(seed=-5, count=1)
+
+
 def test_generation_error_when_budget_exhausted():
     with pytest.raises(sa.GenerationError):
         sa.random_chi(np.random.default_rng(0), max_attempts=0)
