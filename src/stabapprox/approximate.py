@@ -20,20 +20,21 @@ _vertex_start picks.
   generator a; the average row is the case r = 0.  The worst-case problem
   is the minimum over unit r of that QP.
 
-Two facts about the generators' forms q_a(r) = r.H_a.r + 2 g_a.r + c_a,
-each decided once per model from generator_quadratics, shorten the worst
-case:
+Two facts about the fidelity forms q(r) = r.H.r + 2 g.r + c shorten the
+worst case:
 
-* Unital models (every g_a = 0, as on pc and cc).  A mixture's form then
-  has g = 0, so on the unit sphere it is c + r.H.r, least at the first
-  eigenvector of H: the witness is read off one eigh, and it is
-  min_quadratic_form's minimiser up to the signs of zero entries.
-* Axis-witnessed models (unital with every H_a diagonal, as on pc).  A
-  mixture's fidelity on a unit r is c + sum_k H_kk r_k^2, a mean of the
-  c + H_kk weighted by r_k^2, so it is least on an axis state.  The honest
-  mixtures are then those honest on one of the three axis rows (+-e_k
-  share a row), and the worst-case optimum is the best of those three
-  convex QPs, a global optimum found without descent.
+* Mixtures with g = 0 (every mixture on pc and cc, and those on pmc and
+  cmc that give no translation weight).  On the unit sphere the form is
+  c + r.H.r, least at the first eigenvector of H: the witness is read off
+  one eigh, and it is min_quadratic_form's minimiser up to the signs of
+  zero entries.
+* Axis-witnessed models (every g_a = 0 and every H_a diagonal, as on pc),
+  decided once per model from generator_quadratics.  A mixture's fidelity
+  on a unit r is c + sum_k H_kk r_k^2, a mean of the c + H_kk weighted by
+  r_k^2, so it is least on an axis state.  The honest mixtures are then
+  those honest on one of the three axis rows (+-e_k share a row), and the
+  worst-case optimum is the best of those three convex QPs, a global
+  optimum found without descent.
 
 Every other model is solved by alternating descent from start witnesses:
 p <- QP(r), then r <- the worst input of p.  The previous p stays feasible
@@ -94,6 +95,7 @@ from .catalog import (
     mixture_chi,
 )
 from .channels import ChiMatrix, KrausChannel, identity_chi, kraus_to_chi, validate_cptp
+from .channels import _read_only
 from .metrics import (
     CONSTRAINT_KINDS,
     chi_fidelity_quadratic,
@@ -173,11 +175,6 @@ def extract_support(
 
 def _vec_real(a: np.ndarray) -> np.ndarray:
     return np.concatenate([a.real.ravel(), a.imag.ravel()])
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @lru_cache(maxsize=None)
@@ -332,18 +329,11 @@ def _solve_average(problem: ApproximationProblem) -> ApproximationResult:
 
 
 @lru_cache(maxsize=None)
-def _unital(model: str) -> bool:
-    """Whether every generator's g_a is 0: then so is every mixture's g, and
-    a mixture's worst input is the first eigenvector of its H."""
-    return not generator_quadratics(model)[1].any()
-
-
-@lru_cache(maxsize=None)
 def _axis_witnessed(model: str) -> bool:
-    """Whether, besides g_a = 0, every H_a is diagonal: then a mixture's
+    """Whether every g_a is 0 and every H_a diagonal: then a mixture's
     fidelity on a unit r is c + sum_k H_kk r_k^2, least on an axis state."""
-    hs = generator_quadratics(model)[0]
-    return _unital(model) and not (hs * (1.0 - np.eye(3))).any()
+    hs, gs, _ = generator_quadratics(model)
+    return not (gs.any() or (hs * (1.0 - np.eye(3))).any())
 
 
 def _mixture_form(model: str, p: np.ndarray):
@@ -356,11 +346,11 @@ def _mixture_form(model: str, p: np.ndarray):
 
 def _worst_input(model: str, p: np.ndarray, eig=None) -> tuple[float, np.ndarray]:
     """(worst fidelity, witness Bloch vector) of the mixture with raw
-    probabilities p.  On a unital model the witness is the first eigenvector
+    probabilities p.  Where its g is 0 the witness is the first eigenvector
     of H, from eig (eigh's output for H) where given: min_quadratic_form's
-    minimiser where g = 0, up to the signs of zero entries."""
+    minimiser, up to the signs of zero entries."""
     h, g, c = _mixture_form(model, p)
-    if not _unital(model):
+    if g.any():
         return min_quadratic_form(h, g, c, domain="pure")
     r = (np.linalg.eigh(h) if eig is None else eig)[1][:, 0]
     return float(r @ h @ r + c), r
@@ -543,6 +533,7 @@ def solve_batch(
     solved on its process matrix.  An unknown model is no per-item failure:
     it raises ValueError before the first solve.
     """
+    models = list(models)  # read once: an iterator would be used up by the check
     for model in models:  # raises ValueError on the first unknown model
         enumerate_generators(model)
     results: list[ApproximationResult] = []

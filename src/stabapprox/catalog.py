@@ -42,6 +42,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .channels import I2, X, Y, Z, ChiMatrix, KrausChannel, identity_chi, kraus_to_chi
+from .channels import _read_only
 from .metrics import chi_fidelity_quadratic
 
 MODELS = ("pc", "pmc", "cc", "cmc")
@@ -91,9 +92,7 @@ class ErrorSample:
 
 def _rotation(generator_op: np.ndarray, angle: float) -> np.ndarray:
     """exp(-i angle n.sigma) for a unit-norm axis operator n.sigma."""
-    u = np.cos(angle) * I2 - 1j * np.sin(angle) * generator_op
-    u.setflags(write=False)
-    return u
+    return _read_only(np.cos(angle) * I2 - 1j * np.sin(angle) * generator_op)
 
 
 def _pauli_generators() -> list[Generator]:
@@ -132,10 +131,8 @@ def _face_generators() -> list[Generator]:
 def _translation_generators() -> list[Generator]:
     out = []
     for name, ket, ket_perp in _EIGENSTATES:
-        keep = np.outer(ket, ket.conj())
-        swap = np.outer(ket, ket_perp.conj())
-        keep.setflags(write=False)
-        swap.setflags(write=False)
+        keep = _read_only(np.outer(ket, ket.conj()))
+        swap = _read_only(np.outer(ket, ket_perp.conj()))
         out.append(Generator(f"T{name}", "translation", (keep, swap)))
     return out
 
@@ -192,8 +189,7 @@ class MixtureParams:
             raise ValueError(f"negative probability: {probs.min()}")
         if float(probs.sum()) > 1.0 + 1e-12:
             raise ValueError(f"probabilities sum to {probs.sum()} > 1")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _read_only(probs))
 
     @property
     def identity_prob(self) -> float:
@@ -225,9 +221,7 @@ def generator_chis(model: str) -> np.ndarray:
         kraus_to_chi(KrausChannel(gen.ops)).matrix
         for gen in enumerate_generators(model)
     ]
-    out = np.stack(mats)
-    out.setflags(write=False)
-    return out
+    return _read_only(np.stack(mats))
 
 
 @lru_cache(maxsize=None)
@@ -240,10 +234,7 @@ def generator_quadratics(model: str) -> tuple[np.ndarray, np.ndarray, np.ndarray
     integrand vanishes exactly where honesty at F_target = 0 needs it to.
     """
     exact = np.round(2.0 * generator_chis(model)) / 2.0
-    out = chi_fidelity_quadratic(exact)
-    for a in out:
-        a.setflags(write=False)
-    return out
+    return tuple(map(_read_only, chi_fidelity_quadratic(exact)))
 
 
 def identity_fidelity_coefficients(model: str) -> np.ndarray:
@@ -266,10 +257,7 @@ def _sampling_table(params: MixtureParams) -> tuple[np.ndarray, np.ndarray]:
     gens = enumerate_generators(params.model)
     labels = np.array(["I"] + [g.label for g in gens])
     weights = np.concatenate(([params.identity_prob], params.probs))
-    total = weights.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise ValueError("mixture has no probability mass to sample from")
-    return labels, weights / total
+    return labels, weights / weights.sum()
 
 
 def sample_errors(params: MixtureParams, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -32,6 +32,12 @@ _KRAUS_CUTOFF = 1e-12  # chi eigenvalues chi_to_kraus drops
 # off-diagonal entries: (j, k, l, s) for Re(chi_0j) + s Im(chi_kl) = 0.
 _TP_PAIRS = ((1, 2, 3, 1), (2, 1, 3, -1), (3, 1, 2, 1))
 
+
+def _read_only(a: np.ndarray) -> np.ndarray:  # a, shared once writes to it are disabled
+    a.setflags(write=False)
+    return a
+
+
 I2 = np.array([[1, 0], [0, 1]], dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -52,15 +58,14 @@ PROBE_BLOCH = (
 )
 
 for _arr in PAULIS + PAULI_BASIS + PROBE_BLOCH:
-    _arr.setflags(write=False)
+    _read_only(_arr)
 
 
 def _readonly_complex(a, shape: tuple[int, int], what: str) -> np.ndarray:
     out = np.array(a, dtype=complex)
     if out.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {out.shape}")
-    out.setflags(write=False)
-    return out
+    return _read_only(out)
 
 
 @dataclass(frozen=True)
@@ -155,8 +160,8 @@ def operators_chi(ops) -> np.ndarray:
     return a.T @ a.conj()
 
 
-def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Apply the channel to a physical density matrix."""
+def _check_density(rho) -> np.ndarray:
+    """rho as a complex array; ValueError unless it is a density matrix within ATOL."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"density matrix must be 2x2, got {rho.shape}")
@@ -168,12 +173,19 @@ def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
         raise ValueError("density matrix must have trace 1")
     if float(np.linalg.eigvalsh(rho).min()) < -ATOL:
         raise ValueError("density matrix is not positive semidefinite")
+    return rho
+
+
+def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
+    """Apply the channel to a physical density matrix."""
+    rho = _check_density(rho)
     return sum(k @ rho @ k.conj().T for k in ch.ops)
 
 
 def apply_chi(chi: ChiMatrix, rho: np.ndarray) -> np.ndarray:
-    """Apply a channel in process-matrix form: sum_mn chi_mn B_m rho B_n^dag."""
-    rho = np.asarray(rho, dtype=complex)
+    """Apply a channel in process-matrix form (sum_mn chi_mn B_m rho B_n^dag)
+    to a physical density matrix."""
+    rho = _check_density(rho)
     m = chi.matrix
     out = np.zeros((2, 2), dtype=complex)
     for i in range(4):

@@ -37,7 +37,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -266,26 +266,16 @@ def cmd_random(args) -> int:
     identity = identity_chi()
     rows: list[RunRecord] = []
     for index, chi in enumerate(chis):
-        solved = results[index * len(MODELS) : (index + 1) * len(MODELS)]
-        rows.append(
-            RunRecord(
-                target_kind="random",
-                model="identity",
-                constraint=args.constraint,
-                distance=hs_distance(chi, identity),
-                f_target=solved[0].f_target,
-                f_model=1.0,
-                support="",
-                converged=True,
-                restarts_used=0,
-                seed=args.seed,
-                channel_index=index,
-            )
-        )
-        rows += [
+        solved = [
             _record_from_result(r, "random", seed=args.seed, channel_index=index)
-            for r in solved
+            for r in results[index * len(MODELS) : (index + 1) * len(MODELS)]
         ]
+        # The identity baseline shares its target fields with the model rows.
+        baseline = replace(
+            solved[0], model="identity", distance=hs_distance(chi, identity),
+            f_model=1.0, support="", converged=True, restarts_used=0,
+        )
+        rows += [baseline, *solved]
     summary = _summary(rows)
     if args.out == "json":
         json.dump(

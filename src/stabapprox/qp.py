@@ -19,9 +19,9 @@ above 1e-10 relative to the right-hand side, or a nonzero step that raises
 the objective.  A nonzero step is cut at the first blocking bound or row,
 which joins the working set.  At a zero step the rows' multipliers are
 -2 nu and a fixed variable's is its gradient entry less the rows' part; the
-most negative leaves the working set.  When none is negative, x is a KKT
-point and hence a global minimum (the problem is convex), which the KKT
-residual certifies.
+most negative leaves the working set.  When none is negative (or there
+are none), x is a KKT point and hence a global minimum (the problem is
+convex): the solve's one converged exit, which the KKT residual certifies.
 
 The rows of A stay linearly independent: a tight start row enters only if
 it raises their rank; a blocking row only where the step d, in the null
@@ -80,19 +80,17 @@ class QPResult:
 
 
 def kkt_residual(gram, mtw, rows, h, x, active: list[int]) -> float:
-    """Largest KKT violation at x; active lists j for x_j >= 0, n + i for row i."""
+    """Largest KKT violation at x (stationarity, complementarity, multiplier
+    sign and feasibility); active lists j for x_j >= 0, n + i for row i."""
     cons = np.vstack([np.eye(x.size), rows])
     bound = np.concatenate([np.zeros(x.size), h])
     grad = 2.0 * (gram @ x - mtw)
-    if active:
-        lam, *_ = np.linalg.lstsq(cons[active].T, grad, rcond=None)
-        stat = float(np.max(np.abs(grad - cons[active].T @ lam)))
-        comp = float(np.max(np.abs(lam * (cons[active] @ x - bound[active])), initial=0.0))
-    else:
-        stat = float(np.max(np.abs(grad), initial=0.0))
-        comp = 0.0
+    lam, *_ = np.linalg.lstsq(cons[active].T, grad, rcond=None)  # empty where active is
+    stat = float(np.max(np.abs(grad - cons[active].T @ lam)))
+    comp = float(np.max(np.abs(lam * (cons[active] @ x - bound[active])), initial=0.0))
+    sign = float(np.max(-lam, initial=0.0))
     feas = float(np.max(bound - cons @ x, initial=0.0))
-    return max(stat, comp, max(feas, 0.0))
+    return max(stat, comp, sign, feas)
 
 
 def _kkt(gram, a, free):
@@ -207,15 +205,13 @@ def solve_lsq_qp(gram, mtw, rows, h, x0, face=None) -> QPResult:
 
         if np.abs(d).max() <= zero:
             bounds = fixed.nonzero()[0]
-            if not (bounds.size or ne):
-                return QPResult(x, it, True, (), problem)
             grad = -2.0 * descent
             lam_rows = -2.0 * nu
             lam = np.concatenate([grad[bounds] - lam_rows @ rows[general][:, bounds], lam_rows])
             tol = 1e-11 * max(1.0, np.abs(grad).max())
-            k = int(np.argmin(lam))
-            if float(lam[k]) >= -tol:
+            if float(lam.min(initial=0.0)) >= -tol:  # also an empty working set
                 return QPResult(x, it, True, tuple(work.nonzero()[0].tolist()), problem)
+            k = int(np.argmin(lam))
             work[bounds[k] if k < bounds.size else n + general.pop(k - bounds.size)] = False
             continue
 

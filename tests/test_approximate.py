@@ -675,6 +675,22 @@ def test_model_hierarchy_monotonicity_on_random_targets():
         assert d["pmc"] <= d["pc"] + 1e-7
 
 
+def test_model_hierarchy_under_the_worst_case_constraint():
+    # Each model's catalog contains the next one's, so its optimum can be
+    # no farther.  The descent does not guarantee this, but on these targets
+    # every gap is <= 0; a break is a finding about the solver.
+    targets = sa.random_chi_batch(sa.RandomChannelSpec(seed=2026, count=20))
+    targets += [adc_problem(g, "pc").target for g in (0.1, 0.25, 0.3, 0.5, 0.7, 0.75, 0.9)]
+    targets += [pol_problem(phi, 0.1, "pc").target for phi in (np.pi / 8, np.pi / 5)]
+    results = sa.solve_batch(targets, sa.MODELS, "worst")
+    for k in range(len(targets)):
+        d = {r.model: r.distance for r in results[4 * k : 4 * k + 4]}
+        assert d["cmc"] <= d["cc"] + 1e-12, k
+        assert d["cmc"] <= d["pmc"] + 1e-12, k
+        assert d["cc"] <= d["pc"] + 1e-12, k
+        assert d["pmc"] <= d["pc"] + 1e-12, k
+
+
 def test_average_path_multistart_agreement():
     # Convexity check: the active-set QP lands on the same distance from
     # ten random feasible interior starting points (cmc: a rank-12 Gram
@@ -826,6 +842,17 @@ def test_solve_batch_rejects_an_unknown_model_before_any_solve(monkeypatch, mode
     with pytest.raises(ValueError, match=unknown):
         sa.solve_batch([sa.identity_chi()], models)
     assert solves == []
+
+
+def test_solve_batch_reads_an_iterator_of_models_once():
+    # The up-front model check must not use up an iterator before the solves.
+    targets = sa.random_chi_batch(sa.RandomChannelSpec(seed=3, count=2))
+    from_iter = sa.solve_batch(targets, iter(["pc", "cc"]), "worst")
+    from_list = sa.solve_batch(targets, ["pc", "cc"], "worst")
+    assert [r.model for r in from_iter] == ["pc", "cc", "pc", "cc"]
+    for a, b in zip(from_iter, from_list):
+        assert (a.distance, a.f_model, a.support) == (b.distance, b.f_model, b.support)
+        assert np.array_equal(a.params.probs, b.params.probs)
 
 
 def test_solve_batch_kraus_target_matches_process_matrix():

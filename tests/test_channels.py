@@ -75,11 +75,17 @@ def test_full_damping_maps_every_probe_to_ground_state():
 
 
 def test_apply_channel_rejects_unphysical_density():
-    ch = sa.identity_channel()
-    with pytest.raises(ValueError):
-        sa.apply_channel(ch, np.diag([2.0, -1.0]))
-    with pytest.raises(ValueError):
-        sa.apply_channel(ch, np.array([[0.5, 1.0], [0.0, 0.5]]))
+    # apply_chi checks its state as apply_channel does.
+    for rho, match in [
+        (np.diag([2.0, -1.0]), "positive semidefinite"),
+        (np.array([[0.5, 1.0], [0.0, 0.5]]), "Hermitian"),
+        (np.diag([0.5, 0.25]), "trace 1"),
+        (np.eye(3) / 3.0, "must be 2x2"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            sa.apply_channel(sa.identity_channel(), rho)
+        with pytest.raises(ValueError, match=match):
+            sa.apply_chi(sa.identity_chi(), rho)
 
 
 def test_validate_cptp_accepts_adc():
@@ -151,6 +157,8 @@ def test_non_finite_states_are_rejected(bad):
     rho[0, 1] = rho[1, 0] = bad
     with pytest.raises(ValueError, match="density matrix has non-finite entries"):
         sa.apply_channel(sa.identity_channel(), rho)
+    with pytest.raises(ValueError, match="density matrix has non-finite entries"):
+        sa.apply_chi(sa.identity_chi(), rho)
 
 
 def test_unital_mixture_fixes_origin_adc_does_not():

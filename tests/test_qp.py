@@ -84,6 +84,24 @@ def test_kkt_residual_is_computed_on_first_read_from_the_rows_solved():
     assert res.kkt_residual == kkt_residual(gram, mtw, avg_rows, h, res.x, list(res.active))
 
 
+def test_kkt_residual_counts_negative_multipliers():
+    # At the vertex start of the ADC gamma = 0.25 pc average QP, with the
+    # honesty row and the bounds of x_1 and x_2 held, stationarity,
+    # complementarity and feasibility hold to roundoff, but two bounds'
+    # multipliers are negative: the vertex is no optimum.
+    target = sa.kraus_to_chi(sa.adc(sa.AdcSpec(0.25)))
+    gram, mtw, rows, h, x0 = average_qp(target, "pc")
+    assert x0[0] > 0.0 and not x0[1:].any()
+    res = solve_lsq_qp(gram, mtw, rows, h, x0)
+
+    def objective(x):
+        return float(x @ gram @ x - 2.0 * mtw @ x)
+
+    assert objective(x0) > objective(res.x) + 0.03
+    assert kkt_residual(gram, mtw, rows, h, x0, [1, 2, 4]) > 1.0
+    assert res.kkt_residual <= 1e-12
+
+
 def random_problem(rng):
     """(gram, mtw, rows, h, x0): a Gram matrix of rank 3-12 over 3-29
     variables, as the models' are (rank 3/6/9/12 over 3/9/23/29), the
