@@ -33,7 +33,7 @@ _KRAUS_CUTOFF = 1e-12  # chi eigenvalues chi_to_kraus drops
 _TP_PAIRS = ((1, 2, 3, 1), (2, 1, 3, -1), (3, 1, 2, 1))
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:  # a, shared once writes to it are disabled
+def _read_only(a: np.ndarray) -> np.ndarray:  # a, made read-only so that it can be shared
     a.setflags(write=False)
     return a
 

@@ -76,12 +76,13 @@ class QPResult:
     def kkt_residual(self) -> float:
         """KKT residual of x on the rows it was solved under, computed on first
         read: most callers never read it, and it costs one more lstsq."""
-        return kkt_residual(*self.problem, self.x, list(self.active))
+        return kkt_residual(*self.problem, self.x, self.active)
 
 
-def kkt_residual(gram, mtw, rows, h, x, active: list[int]) -> float:
+def kkt_residual(gram, mtw, rows, h, x, active) -> float:
     """Largest KKT violation at x (stationarity, complementarity, multiplier
-    sign and feasibility); active lists j for x_j >= 0, n + i for row i."""
+    sign, feasibility); active lists j for x_j >= 0, n + i for row i."""
+    active = list(active)  # as an index, a tuple would name one entry and () all
     cons = np.vstack([np.eye(x.size), rows])
     bound = np.concatenate([np.zeros(x.size), h])
     grad = 2.0 * (gram @ x - mtw)

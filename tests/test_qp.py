@@ -100,6 +100,10 @@ def test_kkt_residual_counts_negative_multipliers():
     assert objective(x0) > objective(res.x) + 0.03
     assert kkt_residual(gram, mtw, rows, h, x0, [1, 2, 4]) > 1.0
     assert res.kkt_residual <= 1e-12
+    # A tuple, as QPResult.active is, names the same constraints as a list.
+    for active in [(1, 2, 4), ()]:
+        residual = kkt_residual(gram, mtw, rows, h, x0, active)
+        assert residual == kkt_residual(gram, mtw, rows, h, x0, list(active))
 
 
 def random_problem(rng):
