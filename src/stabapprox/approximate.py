@@ -25,9 +25,8 @@ worst case:
 
 * Mixtures with g = 0 (every mixture on pc and cc, and those on pmc and
   cmc that give no translation weight).  On the unit sphere the form is
-  c + r.H.r, least at the first eigenvector of H: the witness is read off
-  one eigh, and it is min_quadratic_form's minimiser up to the signs of
-  zero entries.
+  c + r.H.r, least at the first eigenvector of H, which
+  min_quadratic_form returns off its eigh with no secular equation.
 * Axis-witnessed models (every g_a = 0 and every H_a diagonal, as on pc),
   decided once per model from generator_quadratics.  A mixture's fidelity
   on a unit r is c + sum_k H_kk r_k^2, a mean of the c + H_kk weighted by
@@ -273,12 +272,14 @@ def _honest_probs(x: np.ndarray, row: np.ndarray, f_target: float):
     solution is shrunk by 1 - delta toward the identity and then blended
     toward e_a until F is f_target - delta.  A one-for-one shift onto a
     alone would break sum(p) <= 1 where the simplex row is tight too.  Where
-    F - F_a is within the excess or the largest margin (a Pauli on a target
-    of fidelity near 0) the blend weight t = excess / (F - F_a) would be of
-    order 1; there the identity's weight moves onto a instead, which can
-    lower F to F_a exactly.  Where roundoff in F or sum(p) defeats that, the
-    next margin is tried, and only if every margin fails is p replaced by
-    e_a.
+    F - F_a is within the excess or the largest margin the blend weight
+    t = excess / (F - F_a) would be of order 1, and roundoff in F or sum(p)
+    can defeat every margin.  Then p is completed on the least faithful
+    generators (row = row[a]): its shares on them are scaled to sum at most
+    1 and floored to multiples of 2^-52, so that every sum is exact, and the
+    remainder goes to the largest.  Where row[a] is 1 (a target of fidelity
+    near 0) row @ p is then 1 exactly.  Only if that fails too is p
+    replaced by e_a.
     """
     a = int(np.argmax(row))
     f_a = 1.0 - float(row[a])
@@ -288,14 +289,11 @@ def _honest_probs(x: np.ndarray, row: np.ndarray, f_target: float):
         probs = (1.0 - delta) * base
         f_model = 1.0 - float(row @ probs)
         excess = f_model - f_target + delta
-        if excess > 0.0:
-            gap = f_model - f_a
-            if gap > max(excess, _HONESTY_MARGIN_MAX):
-                t = excess / gap
-                probs *= 1.0 - t
-                probs[a] += t
-            elif f_model > f_target:
-                probs[a] += max(1.0 - float(probs.sum()), 0.0)
+        gap = f_model - f_a
+        if excess > 0.0 and gap > max(excess, _HONESTY_MARGIN_MAX):
+            t = excess / gap
+            probs *= 1.0 - t
+            probs[a] += t
             f_model = 1.0 - float(row @ probs)
         if f_model <= f_target and float(probs.sum()) <= 1.0:
             return probs, f_model
@@ -304,6 +302,13 @@ def _honest_probs(x: np.ndarray, row: np.ndarray, f_target: float):
         raise SolverError(
             f"no honest mixture within roundoff of the QP solution (f_target {f_target!r})"
         )
+    least = row == row[a]
+    probs = np.where(least, base, 0.0)
+    probs = np.floor(probs / max(float(probs.sum()), 1.0) * 2.0**52) / 2.0**52
+    probs[np.argmax(np.where(least, probs, -1.0))] += 1.0 - float(probs.sum())
+    f_model = 1.0 - float(row @ probs)
+    if f_model <= f_target and float(probs.sum()) <= 1.0:
+        return probs, f_model
     return np.eye(base.size)[a], f_a  # e_a
 
 
@@ -321,7 +326,7 @@ def _solve_qp(gram, mtw, rows, h, x0, face=None):
 
 
 def _solve_average(problem: ApproximationProblem) -> ApproximationResult:
-    f_target = float(problem.target.matrix[0, 0].real) / 2.0
+    f_target = float(chi_fidelity_quadratic(problem.target.matrix)[2])
     gram, mtw, rows, h = _qp_data(problem.target, problem.model, f_target)
     res = _solve_qp(gram, mtw, rows, h, _vertex_start(rows[-1], h[-1]))
     probs, f_model = _honest_probs(res.x, rows[-1], f_target)
@@ -338,22 +343,16 @@ def _axis_witnessed(model: str) -> bool:
 
 def _mixture_form(model: str, p: np.ndarray):
     """(H, g, c) of the fidelity integrand of the mixture with raw
-    probabilities p, with H symmetrised as min_quadratic_form takes it."""
+    probabilities p.  Every H_a is symmetric, and so is H."""
     hs, gs, cs = generator_quadratics(model)
     h = (p @ hs.reshape(p.size, 9)).reshape(3, 3)
-    return (h + h.T) / 2.0, p @ gs, 1.0 - float(p.sum()) + float(p @ cs)
+    return h, p @ gs, 1.0 - float(p.sum()) + float(p @ cs)
 
 
-def _worst_input(model: str, p: np.ndarray, eig=None) -> tuple[float, np.ndarray]:
+def _worst_input(model: str, p: np.ndarray) -> tuple[float, np.ndarray]:
     """(worst fidelity, witness Bloch vector) of the mixture with raw
-    probabilities p.  Where its g is 0 the witness is the first eigenvector
-    of H, from eig (eigh's output for H) where given: min_quadratic_form's
-    minimiser, up to the signs of zero entries."""
-    h, g, c = _mixture_form(model, p)
-    if g.any():
-        return min_quadratic_form(h, g, c, domain="pure")
-    r = (np.linalg.eigh(h) if eig is None else eig)[1][:, 0]
-    return float(r @ h @ r + c), r
+    probabilities p."""
+    return min_quadratic_form(*_mixture_form(model, p))
 
 
 def _free_witnesses(model: str, p: np.ndarray) -> np.ndarray:
@@ -363,9 +362,9 @@ def _free_witnesses(model: str, p: np.ndarray) -> np.ndarray:
     degrees apart, from the one nearest the first start witness off the
     plane's normal.  eigh's basis of the plane is roundoff, and descents from
     different points of the circle can end far apart."""
-    h, g, _ = _mixture_form(model, p)
-    lam, q = eig = np.linalg.eigh(h)
-    b, r, plane = q.T @ g, _worst_input(model, p, eig)[1], q[:, :2]
+    h, g, c = _mixture_form(model, p)
+    lam, q = np.linalg.eigh(h)
+    b, r, plane = q.T @ g, min_quadratic_form(h, g, c)[1], q[:, :2]
     tol, rho = 1e-13 * max(1.0, np.abs(lam).max(), np.linalg.norm(b)), np.linalg.norm(r @ plane)
     if lam[1] - lam[0] > tol or np.abs(b[:2]).max() > tol or rho <= 1e-6:
         return r[None]
@@ -424,7 +423,7 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
                 res = solve_on(row, _vertex_start(row, h[-1]), first_face)
                 ends.append(end(res.x, row, 1, True))
     elif not ends:
-        starts = [_honesty_row(model, r) for r in frees] + list(_fixed_rows(model)[1:])
+        starts = [row] + [_honesty_row(model, r) for r in frees[1:]] + list(_fixed_rows(model)[1:])
     end_chis, first_rows = np.empty((0, m.shape[0])), set()
     for row in starts:
         # A descent is fixed by its first row, so a repeated row would repeat
@@ -469,6 +468,11 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
     return _finish(problem, probs, f_target, f_model, converged, qps, restarts)
 
 
+def _check_constraint(constraint: str) -> None:
+    if constraint not in CONSTRAINT_KINDS:
+        raise ValueError(f"constraint must be one of {CONSTRAINT_KINDS}, got {constraint!r}")
+
+
 def solve(problem: ApproximationProblem) -> ApproximationResult:
     """Best honest approximation of the target by the requested mixture:
     under "avg" the global optimum of the convex QP, under "worst" the best
@@ -490,10 +494,7 @@ def solve(problem: ApproximationProblem) -> ApproximationResult:
     the winning descent met a stop rule before its QP budget ran out; it is
     true under "avg" and for the two ends that run no descent.
     """
-    if problem.constraint not in CONSTRAINT_KINDS:
-        raise ValueError(
-            f"constraint must be one of {CONSTRAINT_KINDS}, got {problem.constraint!r}"
-        )
+    _check_constraint(problem.constraint)
     violations = validate_cptp(problem.target)
     if violations:
         worst = max(violations, key=lambda v: v.magnitude)
@@ -530,12 +531,13 @@ def solve_batch(
     failures as results with error set instead of aborting the batch.
 
     Targets are process matrices or Kraus channels; a Kraus channel is
-    solved on its process matrix.  An unknown model is no per-item failure:
-    it raises ValueError before the first solve.
+    solved on its process matrix.  An unknown model or constraint is no
+    per-item failure: it raises ValueError before the first solve.
     """
     models = list(models)  # read once: an iterator would be used up by the check
     for model in models:  # raises ValueError on the first unknown model
         enumerate_generators(model)
+    _check_constraint(constraint)
     results: list[ApproximationResult] = []
     for target in targets:
         chi = kraus_to_chi(target) if isinstance(target, KrausChannel) else target

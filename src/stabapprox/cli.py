@@ -191,11 +191,9 @@ def _build_target(args) -> tuple[str, ChiMatrix, dict]:
             raise ValueError(f"--phi must be finite, got {args.phi}")
         phi = math.radians(args.phi) if args.degrees else args.phi
         return "pol", *_param_target("pol", phi, args.p)
-    if args.target == "file":
-        if args.file is None:
-            raise ValueError("--target file needs --file")
-        return "file", load_chi_file(args.file), {}
-    raise ValueError(f"unknown target {args.target!r}")
+    if args.file is None:  # argparse admits only adc, pol and file
+        raise ValueError("--target file needs --file")
+    return "file", load_chi_file(args.file), {}
 
 
 def _models_arg(value: str) -> list[str]:

@@ -141,13 +141,17 @@ def min_quadratic_form(
     """Minimize r.H.r + 2 g.r + c over Bloch vectors.
 
     domain="pure" restricts to the unit sphere, domain="mixed" searches the
-    closed unit ball.  Returns (minimum value, minimizing Bloch vector).
+    closed unit ball.  Returns (minimum value, minimizing Bloch vector); on
+    the sphere with g = 0 the minimizer is eigh's first eigenvector of H.
     """
     if domain not in WORST_DOMAINS:
         raise ValueError(f"domain must be one of {WORST_DOMAINS}, got {domain!r}")
     h = (np.asarray(h, dtype=float) + np.asarray(h, dtype=float).T) / 2.0
     g = np.asarray(g, dtype=float)
     lam, q = np.linalg.eigh(h)
+    if domain == "pure" and not np.count_nonzero(g):
+        r = q[:, 0]
+        return float(c + r @ h @ r), r
     b = q.T @ g
     u = _sphere_argmin(lam, b) if domain == "pure" else _ball_argmin(lam, b)
     r = q @ u

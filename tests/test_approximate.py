@@ -608,6 +608,28 @@ def test_worst_case_of_rotations_near_a_half_turn_converge():
             assert result.f_model <= result.f_target, (axis, turns, model)
 
 
+def test_average_case_of_half_turns_is_covariant_and_ordered():
+    # A half turn has fidelity near 0, so its QP optimum is honest only to
+    # within roundoff and must be completed on the least faithful
+    # generators.  Clifford conjugation maps axes of one class (coordinate
+    # axes, face and body diagonals) onto each other, so they share each
+    # model's distance, and each model's catalog contains the next one's.
+    classes = {}
+    for axis in SYMMETRIC_AXES:
+        results = sa.solve_batch([rotation_chi(axis, 1.0)], sa.MODELS, "avg")
+        d = {r.model: r.distance for r in results}
+        assert all(r.f_model <= r.f_target for r in results), axis
+        assert d["cmc"] <= d["cc"] + 1e-12, axis
+        assert d["cmc"] <= d["pmc"] + 1e-12, axis
+        assert d["cc"] <= d["pc"] + 1e-12, axis
+        assert d["pmc"] <= d["pc"] + 1e-12, axis
+        classes.setdefault(np.count_nonzero(axis), []).append(d)
+    for members in classes.values():
+        for model in sa.MODELS:
+            distances = [d[model] for d in members]
+            assert max(distances) - min(distances) <= 1e-12, model
+
+
 #: The best distance descents from single points of the circle of worst
 #: inputs reach on the body-diagonal rotations below, cc and cmc; from
 #: other points they end at 0.0127 (0.7 turns) and 0.0521 (0.75 turns).
@@ -831,16 +853,25 @@ def test_solve_batch_collects_only_typed_failures(monkeypatch, exc, collected):
 
 
 @pytest.mark.parametrize(
-    "models, unknown", [(["pc", "xyz"], "'xyz'"), ("pc", "'p'")], ids=["list", "string"]
+    "models, constraint, unknown",
+    [
+        (["pc", "xyz"], "avg", "'xyz'"),
+        ("pc", "avg", "'p'"),
+        (["pc", "cc"], "median", r"constraint must be one of .*, got 'median'"),
+        (["pc", "xyz"], "median", "'xyz'"),
+    ],
+    ids=["list", "string", "constraint", "model-first"],
 )
-def test_solve_batch_rejects_an_unknown_model_before_any_solve(monkeypatch, models, unknown):
+def test_solve_batch_rejects_an_unknown_model_before_any_solve(
+    monkeypatch, models, constraint, unknown
+):
     # A model name is no per-item failure: the whole batch is refused up
     # front, naming the first unknown model.  A bare string iterates into
-    # one-letter models.
+    # one-letter models.  So is a constraint, checked after the models.
     solves = []
     monkeypatch.setattr(sa.approximate, "solve", lambda problem: solves.append(problem))
     with pytest.raises(ValueError, match=unknown):
-        sa.solve_batch([sa.identity_chi()], models)
+        sa.solve_batch([sa.identity_chi()], models, constraint)
     assert solves == []
 
 

@@ -185,6 +185,16 @@ def test_sweep_flag_validation(capsys):
         cli.main(["sweep", "--target", "pol", "--min", "0", "--max", "inf", "--steps", "3"])
     assert exc.value.code == 2
     assert "--min and --max must be finite" in capsys.readouterr().err
+    sweep = ["sweep", "--target", "adc", "--min", "0", "--max", "1", "--steps", "5"]
+    for argv, message in [
+        (sweep + ["--model", "pc,zz"], "unknown model 'zz'"),
+        (sweep + ["--model", ","], "empty model list"),
+        (["random", "--count", "0", "--seed", "1"], "--count must be >= 1"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("phi", ["nan", "inf"])
@@ -411,6 +421,12 @@ def test_approx_from_chi_file(tmp_path, capsys):
 def test_input_error_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["approx", "--target", "adc", "--model", "pc"])
     assert code == 2 and "gamma" in err
+    for target, message in [
+        (["pol", "--phi", "0.3"], "needs --phi and --p"),
+        (["file"], "needs --file"),
+    ]:
+        code, _, err = run_cli(capsys, ["approx", "--model", "pc", "--target", *target])
+        assert code == 2 and message in err
     broken = tmp_path / "broken.json"
     broken.write_text("[1, 2, 3]")
     code, _, err = run_cli(capsys, ["validate", "--file", str(broken)])

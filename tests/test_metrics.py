@@ -276,3 +276,27 @@ def test_min_quadratic_form_meets_the_global_optimality_conditions():
         mu = -float(r @ (h @ r + g))
         assert mu >= -np.linalg.eigvalsh(h)[0] - 1e-10
         assert np.linalg.norm((h + mu * np.eye(3)) @ r + g) <= 1e-10
+
+
+def test_min_quadratic_form_with_g_zero_is_the_secular_minimiser():
+    # On the sphere with g = 0 the minimiser is read straight off eigh; it
+    # must be the secular path's point (array_equal treats -0.0 as 0.0) and
+    # value on random, sparse and tied-bottom forms and on pc's diagonal H.
+    rng = np.random.default_rng(19)
+    hs = sa.catalog.generator_quadratics("pc")[0]
+    b = np.linalg.qr(rng.standard_normal((3, 3)))[0] * np.sqrt([0.5, 0.5, 2.0])
+    forms = [b @ b.T, np.diag([0.0, 0.0, 1.0]), np.zeros((3, 3))]
+    for _ in range(100):
+        a = rng.standard_normal((3, 3))
+        forms.append(a @ a.T)
+        a[rng.random((3, 3)) < 0.6] = 0.0
+        forms.append(a + a.T)
+        forms.append(np.tensordot(rng.dirichlet(np.ones(3)) * (rng.random(3) < 0.7), hs, 1))
+    for h in forms:
+        for g in (np.zeros(3), np.array([-0.0, 0.0, -0.0])):
+            c = float(rng.random())
+            value, r = sa.min_quadratic_form(h, g, c, domain="pure")
+            lam, q = np.linalg.eigh(h)
+            expected = q @ sa.metrics._sphere_argmin(lam, q.T @ g)
+            assert np.array_equal(r, expected)
+            assert value == float(expected @ h @ expected + 2.0 * (g @ expected) + c)
