@@ -80,7 +80,7 @@ The target enters only through its process matrix (chi_fidelity_quadratic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -129,16 +129,21 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class ApproximationProblem:
-    """Target process matrix, mixture model and constraint kind.
+    """Target channel, mixture model and constraint kind.
 
-    Both constraints work from the process matrix alone.  target_kraus is
-    accepted for callers that still pass a Kraus form, and ignored.
+    Both constraints work from the process matrix alone: a Kraus target is
+    converted to it here.  target_kraus is accepted for callers that still
+    pass a Kraus form, and ignored.
     """
 
-    target: ChiMatrix
+    target: ChiMatrix | KrausChannel
     model: str
     constraint: str = "avg"
     target_kraus: KrausChannel | None = None
+
+    def __post_init__(self) -> None:
+        if isinstance(self.target, KrausChannel):
+            object.__setattr__(self, "target", kraus_to_chi(self.target))
 
 
 @dataclass(frozen=True)
@@ -162,10 +167,14 @@ def extract_support(
     """Generators carrying probability above threshold, largest first."""
     if not threshold >= 0.0:  # also rejects NaN
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    gens = enumerate_generators(result.params.model)
+    return _support(result.params, threshold)
+
+
+def _support(params: MixtureParams, threshold: float) -> list[tuple[str, float]]:
+    gens = enumerate_generators(params.model)
     pairs = [
         (i, gen.label, float(p))
-        for i, (gen, p) in enumerate(zip(gens, result.params.probs))
+        for i, (gen, p) in enumerate(zip(gens, params.probs))
         if p > threshold
     ]
     pairs.sort(key=lambda t: (-t[2], t[0]))
@@ -241,20 +250,18 @@ def _finish(
     restarts_used: int,
 ) -> ApproximationResult:
     params = MixtureParams(problem.model, probs)
-    distance = hs_distance(problem.target, mixture_chi(params))
-    result = ApproximationResult(
+    return ApproximationResult(
         model=problem.model,
         constraint=problem.constraint,
         params=params,
-        distance=distance,
+        distance=hs_distance(problem.target, mixture_chi(params)),
         f_target=f_target,
         f_model=f_model,
-        support=(),
+        support=tuple(_support(params, SUPPORT_THRESHOLD)),
         converged=converged,
         iterations=iterations,
         restarts_used=restarts_used,
     )
-    return replace(result, support=tuple(extract_support(result)))
 
 
 def _honest_probs(x: np.ndarray, row: np.ndarray, f_target: float):
@@ -326,7 +333,9 @@ def _solve_qp(gram, mtw, rows, h, x0, face=None):
 
 
 def _solve_average(problem: ApproximationProblem) -> ApproximationResult:
-    f_target = float(chi_fidelity_quadratic(problem.target.matrix)[2])
+    # Clipped to [0, 1] as the worst case's is: a valid target's chi_00 can be
+    # a roundoff negative, and no mixture is honest below a fidelity of 0.
+    f_target = min(max(float(chi_fidelity_quadratic(problem.target.matrix)[2]), 0.0), 1.0)
     gram, mtw, rows, h = _qp_data(problem.target, problem.model, f_target)
     res = _solve_qp(gram, mtw, rows, h, _vertex_start(rows[-1], h[-1]))
     probs, f_model = _honest_probs(res.x, rows[-1], f_target)
@@ -347,12 +356,6 @@ def _mixture_form(model: str, p: np.ndarray):
     hs, gs, cs = generator_quadratics(model)
     h = (p @ hs.reshape(p.size, 9)).reshape(3, 3)
     return h, p @ gs, 1.0 - float(p.sum()) + float(p @ cs)
-
-
-def _worst_input(model: str, p: np.ndarray) -> tuple[float, np.ndarray]:
-    """(worst fidelity, witness Bloch vector) of the mixture with raw
-    probabilities p."""
-    return min_quadratic_form(*_mixture_form(model, p))
 
 
 def _free_witnesses(model: str, p: np.ndarray) -> np.ndarray:
@@ -417,11 +420,11 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
     first_face, starts = simplex.active + (m.shape[1] + 1,), []
     if not ends and _axis_witnessed(model):
         # Every mixture's worst input is an axis state (+-e_k share a row), so the
-        # optimum is the best of the three axis rows' convex QPs.
+        # optimum is the best of the three axis rows' convex QPs.  Each admits an
+        # honest mixture: its largest entry is 1, a Pauli's off its axis.
         for row in _fixed_rows(model)[1:4]:
-            if row.max() >= h[-1]:  # else no mixture is honest on this axis
-                res = solve_on(row, _vertex_start(row, h[-1]), first_face)
-                ends.append(end(res.x, row, 1, True))
+            res = solve_on(row, _vertex_start(row, h[-1]), first_face)
+            ends.append(end(res.x, row, 1, True))
     elif not ends:
         starts = [row] + [_honesty_row(model, r) for r in frees[1:]] + list(_fixed_rows(model)[1:])
     end_chis, first_rows = np.empty((0, m.shape[0])), set()
@@ -449,7 +452,7 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
             if hit.any():
                 converged = ends[int(np.argmax(hit))][-1]
                 break
-            row = _honesty_row(model, _worst_input(model, p)[1])
+            row = _honesty_row(model, min_quadratic_form(*_mixture_form(model, p))[1])
             # A QP started at its own optimum returns it, so the descent ends
             # once its row stops moving (a bitwise repeat has a gap of 0).
             converged = float(np.abs(row - rows[-1]).max()) <= _DESCENT_ROW_STALL
@@ -460,11 +463,10 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
         # that meets it only to within roundoff can cost far more (ADC gamma = 1,
         # cc: 0.5 vs 0.25).
         ends.append(end(p, rows[-1], qps, converged))
-    if not ends:
-        raise SolverError("no start witness admits an honest mixture")
+    # Not empty: the axis rows are among the starts, and each is descended.
     _, probs, f_row, qps, converged = min(ends, key=lambda e: e[0])  # the first on a tie
     # Both values are the integrand at a unit input: the lower is the better minimum.
-    f_model = max(min(_worst_input(model, probs)[0], f_row), 0.0)
+    f_model = max(min(min_quadratic_form(*_mixture_form(model, probs))[0], f_row), 0.0)
     return _finish(problem, probs, f_target, f_model, converged, qps, restarts)
 
 
@@ -540,10 +542,11 @@ def solve_batch(
     _check_constraint(constraint)
     results: list[ApproximationResult] = []
     for target in targets:
-        chi = kraus_to_chi(target) if isinstance(target, KrausChannel) else target
         for model in models:
             try:
-                results.append(solve(ApproximationProblem(chi, model, constraint)))
+                problem = ApproximationProblem(target, model, constraint)
+                target = problem.target  # a Kraus target is converted once, not per model
+                results.append(solve(problem))
             except (ValueError, SolverError) as exc:  # collected, batch continues
                 results.append(_failure(model, constraint, exc))
     return results

@@ -47,7 +47,7 @@ from .metrics import chi_fidelity_quadratic
 
 MODELS = ("pc", "pmc", "cc", "cmc")
 
-_AXES = (("x", X), ("y", Y), ("z", Z))
+_AXES = "xyz"
 
 _KET0 = np.array([1.0, 0.0], dtype=complex)
 _KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -90,42 +90,31 @@ class ErrorSample:
     replacement: str | None = None
 
 
-def _rotation(generator_op: np.ndarray, angle: float) -> np.ndarray:
-    """exp(-i angle n.sigma) for a unit-norm axis operator n.sigma."""
-    return _read_only(np.cos(angle) * I2 - 1j * np.sin(angle) * generator_op)
+def _rotation(label: str, family: str, axis: np.ndarray, angle: float) -> Generator:
+    """The generator exp(-i angle n.sigma) about the unit axis n = axis / |axis|."""
+    n_sigma = np.tensordot(axis, (X, Y, Z), 1) / np.linalg.norm(axis)
+    u = np.cos(angle) * I2 - 1j * np.sin(angle) * n_sigma
+    return Generator(label, family, (_read_only(u),))
 
 
-def _pauli_generators() -> list[Generator]:
-    return [Generator(label, "pauli", (mat,)) for label, mat in (("X", X), ("Y", Y), ("Z", Z))]
-
-
-def _s_generators() -> list[Generator]:
-    out = []
-    for axis, sigma in _AXES:
-        for sign_label, sign in (("+", 1.0), ("-", -1.0)):
-            u = _rotation(sign * sigma, np.pi / 4.0)
-            out.append(Generator(f"S{sign_label}{axis}", "s", (u,)))
-    return out
-
-
-def _hadamard_generators() -> list[Generator]:
-    out = []
-    for (ax_j, sig_j), (ax_k, sig_k) in combinations(_AXES, 2):
-        for sign_label, sign in (("+", 1.0), ("-", -1.0)):
-            axis_op = (sig_j + sign * sig_k) / np.sqrt(2.0)
-            u = _rotation(axis_op, np.pi / 2.0)
-            out.append(Generator(f"H({ax_j},{ax_k}){sign_label}", "hadamard", (u,)))
-    return out
-
-
-def _face_generators() -> list[Generator]:
-    out = []
-    for sx, sy, sz in product((1.0, -1.0), repeat=3):
-        axis_op = (sx * X + sy * Y + sz * Z) / np.sqrt(3.0)
-        u = _rotation(axis_op, np.pi / 3.0)
-        signs = ",".join("+" if s > 0 else "-" for s in (sx, sy, sz))
-        out.append(Generator(f"F({signs})", "face", (u,)))
-    return out
+def _clifford_generators() -> list[Generator]:
+    """X, Y, Z, then the quarter, half and third turns in canonical order."""
+    e, signs = np.eye(3), (("+", 1.0), ("-", -1.0))
+    paulis = [Generator(label, "pauli", (mat,)) for label, mat in (("X", X), ("Y", Y), ("Z", Z))]
+    quarter = [
+        _rotation(f"S{s}{a}", "s", sign * e[j], np.pi / 4.0)
+        for j, a in enumerate(_AXES) for s, sign in signs
+    ]
+    half = [
+        _rotation(f"H({a},{b}){s}", "hadamard", e[j] + sign * e[k], np.pi / 2.0)
+        for (j, a), (k, b) in combinations(enumerate(_AXES), 2) for s, sign in signs
+    ]
+    third = [
+        _rotation("F({},{},{})".format(*("+" if c > 0 else "-" for c in v)), "face",
+                  np.array(v), np.pi / 3.0)
+        for v in product((1.0, -1.0), repeat=3)
+    ]
+    return paulis + quarter + half + third
 
 
 def _translation_generators() -> list[Generator]:
@@ -147,9 +136,8 @@ def enumerate_generators(model: str) -> tuple[Generator, ...]:
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
-    paulis = _pauli_generators()
-    cliffords = paulis + _s_generators() + _hadamard_generators() + _face_generators()
-    translations = _translation_generators()
+    cliffords = _clifford_generators()
+    paulis, translations = cliffords[:3], _translation_generators()
     gens = {
         "pc": paulis,
         "pmc": paulis + translations,

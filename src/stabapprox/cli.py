@@ -146,6 +146,13 @@ def _write_csv(header, rows) -> None:
     writer.writerows(rows)
 
 
+def _write_json(data, stream=None) -> None:
+    """Write data to stream (stdout by default) as JSON indented by 2, then a newline."""
+    stream = sys.stdout if stream is None else stream
+    json.dump(data, stream, indent=2)
+    stream.write("\n")
+
+
 def load_chi_file(path: str) -> ChiMatrix:
     """Read a 4x4 process matrix from a JSON file of 16 row-major entries."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -211,8 +218,7 @@ def cmd_approx(args) -> int:
     result = solve(ApproximationProblem(chi, args.model, args.constraint))
     record = _record_from_result(result, kind, **params)
     if args.out == "json":
-        json.dump(asdict(record), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json(asdict(record))
     else:
         _write_csv(CSV_COLUMNS, [record.to_csv_row()])
     return 0
@@ -276,16 +282,10 @@ def cmd_random(args) -> int:
         rows += [baseline, *solved]
     summary = _summary(rows)
     if args.out == "json":
-        json.dump(
-            {"records": [asdict(r) for r in rows], "summary": summary},
-            sys.stdout,
-            indent=2,
-        )
-        sys.stdout.write("\n")
+        _write_json({"records": [asdict(r) for r in rows], "summary": summary})
     else:
         _write_csv(CSV_COLUMNS, (record.to_csv_row() for record in rows))
-        json.dump(summary, sys.stderr, indent=2)
-        sys.stderr.write("\n")
+        _write_json(summary, sys.stderr)
     return 0
 
 
@@ -312,8 +312,7 @@ def cmd_validate(args) -> int:
         {"constraint": v.constraint, "magnitude": _fmt12(v.magnitude)}
         for v in validate_cptp(chi)
     ]
-    json.dump({"valid": not report, "violations": report}, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write_json({"valid": not report, "violations": report})
     return 0
 
 

@@ -10,6 +10,8 @@ by sampling.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .channels import ATOL, ChiMatrix, KrausChannel, operators_chi
@@ -143,11 +145,17 @@ def min_quadratic_form(
     domain="pure" restricts to the unit sphere, domain="mixed" searches the
     closed unit ball.  Returns (minimum value, minimizing Bloch vector); on
     the sphere with g = 0 the minimizer is eigh's first eigenvector of H.
+    Raises ValueError unless H is 3x3, g a 3-vector and every entry finite.
     """
     if domain not in WORST_DOMAINS:
         raise ValueError(f"domain must be one of {WORST_DOMAINS}, got {domain!r}")
-    h = (np.asarray(h, dtype=float) + np.asarray(h, dtype=float).T) / 2.0
-    g = np.asarray(g, dtype=float)
+    h, g = np.asarray(h, dtype=float), np.asarray(g, dtype=float)
+    if h.shape != (3, 3) or g.shape != (3,):
+        raise ValueError(f"H must be 3x3 and g a 3-vector, got shapes {h.shape} and {g.shape}")
+    # One test for every entry: this is the worst case's hot path.
+    if not (np.isfinite(np.concatenate((h.ravel(), g))).all() and math.isfinite(c)):
+        raise ValueError("quadratic form has non-finite entries")
+    h = (h + h.T) / 2.0
     lam, q = np.linalg.eigh(h)
     if domain == "pure" and not np.count_nonzero(g):
         r = q[:, 0]

@@ -16,12 +16,16 @@ truncates small singular values, and its steps just above the zero-step
 test stalled the method.  lstsq solves it where LU fails or is unsound: a
 singular system (as at an interior start with G_FF singular), a residual
 above 1e-10 relative to the right-hand side, or a nonzero step that raises
-the objective.  A nonzero step is cut at the first blocking bound or row,
-which joins the working set.  At a zero step the rows' multipliers are
--2 nu and a fixed variable's is its gradient entry less the rows' part; the
-most negative leaves the working set.  When none is negative (or there
-are none), x is a KKT point and hence a global minimum (the problem is
-convex): the solve's one converged exit, which the KKT residual certifies.
+the objective.  A step is zero where its largest entry is at most
+1e-13 max(1, |x|) or 1e-13 max|nu|: the KKT solve's roundoff grows with
+its solution, and steps at that floor stalled the method on rows nearly
+parallel to the simplex row.  A nonzero step is cut at the first blocking
+bound or row, which joins the working set.  At a zero step the rows'
+multipliers are -2 nu and a fixed variable's is its gradient entry less
+the rows' part; the most negative leaves the working set.  When none is
+negative (or there are none), x is a KKT point and hence a global minimum
+(the problem is convex): the solve's one converged exit, which the KKT
+residual certifies.
 
 The rows of A stay linearly independent: a tight start row enters only if
 it raises their rank; a blocking row only where the step d, in the null
@@ -204,7 +208,8 @@ def solve_lsq_qp(gram, mtw, rows, h, x0, face=None) -> QPResult:
                 sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
             d[free], nu = sol[:nf], sol[nf:]
 
-        if np.abs(d).max() <= zero:
+        step = np.abs(d).max()  # nu's scale is read only where the step would be taken
+        if step <= zero or step <= 1e-13 * np.abs(nu).max(initial=0.0):
             bounds = fixed.nonzero()[0]
             grad = -2.0 * descent
             lam_rows = -2.0 * nu

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -536,21 +537,12 @@ def test_pc_worst_case_is_the_global_optimum():
 
 
 @pytest.mark.parametrize("model", sa.MODELS)
-def test_worst_input_is_the_minimum_of_the_mixture_form(model):
-    # Where every g_a is 0 (pc, cc) the witness is read off one eigh as the
-    # first eigenvector, which is min_quadratic_form's minimiser on g = 0
-    # up to the signs of zero entries (array_equal treats -0.0 as 0.0).
-    approximate = sa.approximate
-    rng = np.random.default_rng(1616)
-    n = len(sa.enumerate_generators(model))
-    for draw in range(200):
-        p = rng.dirichlet(np.ones(n + 1))[1:]
-        if draw % 2:
-            p[rng.random(n) < 0.6] = 0.0  # sparse mixtures, with ties on pc
-        value, witness = approximate._worst_input(model, p)
-        expected = sa.metrics.min_quadratic_form(*approximate._mixture_form(model, p))
-        assert value == expected[0], (model, draw)
-        assert np.array_equal(witness, expected[1]), (model, draw)
+def test_axis_rows_reach_one(model):
+    # Every model starts with X, Y and Z, whose rounded integrands vanish
+    # exactly off their own axis, so each axis row's largest entry is 1 and,
+    # f_target being clipped to [0, 1], admits an honest mixture: the worst
+    # case's axis QPs and descents need no feasibility test.
+    assert (sa.approximate._fixed_rows(model)[1:4].max(axis=1) == 1.0).all()
 
 
 def rotation_chi(axis, turns):
@@ -886,9 +878,17 @@ def test_solve_batch_reads_an_iterator_of_models_once():
         assert np.array_equal(a.params.probs, b.params.probs)
 
 
-def test_solve_batch_kraus_target_matches_process_matrix():
+def test_solve_batch_kraus_target_matches_process_matrix(monkeypatch):
     channels = [sa.adc(sa.AdcSpec(0.3)), sa.pol_xy(sa.PolSpec(np.pi / 7, 0.1))]
+    converted, kraus_to_chi = [], sa.approximate.kraus_to_chi
+
+    def counted(ch):
+        converted.append(ch)
+        return kraus_to_chi(ch)
+
+    monkeypatch.setattr(sa.approximate, "kraus_to_chi", counted)
     from_kraus = sa.solve_batch(channels, list(sa.MODELS), "avg")
+    assert converted == channels  # once per target, not per model
     from_chi = sa.solve_batch([sa.kraus_to_chi(ch) for ch in channels], list(sa.MODELS), "avg")
     for a, b in zip(from_kraus, from_chi):
         assert a.error is None and b.error is None
@@ -904,6 +904,36 @@ def test_solve_batch_worst_uses_native_kraus_form():
     for ch, result in zip(channels, results):
         assert result.error is None
         assert result.f_target == sa.worst_fidelity(np.eye(2), ch)
+
+
+@pytest.mark.parametrize("constraint", sa.CONSTRAINT_KINDS)
+def test_solve_kraus_target_matches_process_matrix(constraint):
+    # solve takes a Kraus target as solve_batch does: on its process matrix.
+    ch = sa.adc(sa.AdcSpec(0.25))
+    for model in sa.MODELS:
+        a = sa.solve(sa.ApproximationProblem(ch, model, constraint))
+        b = sa.solve(sa.ApproximationProblem(sa.kraus_to_chi(ch), model, constraint))
+        for field in dataclasses.fields(sa.ApproximationResult):
+            if field.name != "params":
+                assert getattr(a, field.name) == getattr(b, field.name), (model, field.name)
+        assert a.params.probs.tobytes() == b.params.probs.tobytes(), model
+
+
+def test_average_case_of_a_roundoff_negative_chi00():
+    # A valid X flip whose chi_00 is a roundoff negative: its average
+    # fidelity is clipped to 0, as the worst case's is, so X is honest.
+    chi = sa.ChiMatrix(np.diag([-5e-11, 2.0 + 5e-11, 0.0, 0.0]))
+    assert not sa.validate_cptp(chi)
+    for model in sa.MODELS:
+        r = sa.solve(sa.ApproximationProblem(chi, model, "avg"))
+        assert r.support == (("X", 1.0),), model
+        assert r.f_target == r.f_model == 0.0, model
+
+
+def test_qp_that_does_not_converge_raises_solver_error(monkeypatch):
+    monkeypatch.setattr(sa.qp, "_MAX_ITER", 1)
+    with pytest.raises(sa.SolverError, match=r"active-set QP did not converge \(kkt residual"):
+        sa.solve(adc_problem(0.25, "cmc", "avg"))
 
 
 @pytest.mark.parametrize("model", sa.MODELS)

@@ -88,6 +88,15 @@ def test_apply_channel_rejects_unphysical_density():
             sa.apply_chi(sa.identity_chi(), rho)
 
 
+def test_shape_errors():
+    with pytest.raises(ValueError, match=r"process matrix must have shape \(4, 4\), got \(3, 3\)"):
+        sa.ChiMatrix(np.eye(3))
+    with pytest.raises(ValueError, match=r"Kraus operator must have shape \(2, 2\), got \(4,\)"):
+        sa.KrausChannel((np.ones(4),))
+    with pytest.raises(ValueError, match=r"Bloch vector must have shape \(3,\), got \(2,\)"):
+        sa.density_from_bloch([1.0, 0.0])
+
+
 def test_validate_cptp_accepts_adc():
     assert sa.validate_cptp(sa.kraus_to_chi(sa.adc(sa.AdcSpec(0.3)))) == []
 

@@ -456,6 +456,28 @@ def test_solver_and_generation_failure_exit_codes(capsys, monkeypatch):
     assert code == 4 and "generation failure" in err
 
 
+def test_qp_that_does_not_converge_exits_3(capsys, monkeypatch):
+    # The solver's own failure, not a stand-in: one QP iteration is too few.
+    monkeypatch.setattr(sa.qp, "_MAX_ITER", 1)
+    code, out, err = run_cli(
+        capsys,
+        ["approx", "--target", "adc", "--gamma", "0.25", "--model", "cmc", "--constraint", "avg"],
+    )
+    assert code == 3 and out == ""
+    assert err == "solver failure: active-set QP did not converge (kkt residual 5.179e-01)\n"
+
+
+def test_approx_file_with_a_roundoff_negative_chi00(tmp_path, capsys):
+    path = tmp_path / "flip.json"
+    cli.save_chi_file(sa.ChiMatrix(np.diag([-5e-11, 2.0 + 5e-11, 0.0, 0.0])), str(path))
+    code, out, _ = run_cli(
+        capsys, ["approx", "--target", "file", "--file", str(path), "--model", "pc"]
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert (record["support"], record["f_target"], record["f_model"]) == ("X=1", 0.0, 0.0)
+
+
 def reference_pairs(capsys, argv, name):
     """(new, old) records of each model row of argv's output and of the
     reference data/name, once keys and f_target as written are checked."""

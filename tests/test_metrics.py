@@ -79,6 +79,27 @@ def test_fidelities_reject_non_finite_reference():
             fidelity(v, sa.identity_channel())
 
 
+def test_fidelities_reject_a_reference_operator_that_is_not_2x2():
+    with pytest.raises(ValueError, match=r"reference operator must be 2x2, got \(3, 3\)"):
+        sa.worst_fidelity(np.eye(3), sa.identity_channel())
+
+
+def test_min_quadratic_form_rejects_malformed_forms():
+    nan_h, inf_g = np.eye(3), np.zeros(3)
+    nan_h[0, 1] = nan_h[1, 0] = np.nan
+    inf_g[2] = np.inf
+    for h, g, c, match in [
+        (np.eye(2), np.zeros(2), 0.0, "H must be 3x3"),
+        (np.eye(3), np.zeros(4), 0.0, "g a 3-vector"),
+        (nan_h, np.zeros(3), 0.0, "non-finite"),
+        (np.eye(3), inf_g, 0.0, "non-finite"),
+        (np.eye(3), np.zeros(3), np.nan, "non-finite"),
+    ]:
+        for domain in sa.metrics.WORST_DOMAINS:
+            with pytest.raises(ValueError, match=match):
+                sa.min_quadratic_form(h, g, c, domain=domain)
+
+
 @st.composite
 def small_mixture(draw):
     n = 23

@@ -4,8 +4,9 @@ from scipy.optimize import minimize
 
 import stabapprox as sa
 from stabapprox import qp
+from stabapprox.approximate import _honesty_row, _qp_data, _vertex_start
 from stabapprox.qp import kkt_residual, solve_lsq_qp
-from helpers import average_qp
+from helpers import average_qp, fibonacci_sphere
 
 
 def unit_target(model: str, label: str) -> sa.ChiMatrix:
@@ -211,6 +212,27 @@ def test_random_problem_whose_lu_step_raises_the_objective_converges():
     res = solve_lsq_qp(*nth_random_problem(2, 141))
     assert res.converged
     assert res.kkt_residual <= 1e-9
+
+
+def test_witness_rows_near_a_cube_diagonal_converge():
+    # pmc on this target with the honesty row of a witness near the cube
+    # diagonal (1, -1, -1)/sqrt(3): the rows of T|0>, T|-> and T|+i> nearly
+    # agree there, so the honesty row is nearly parallel to the simplex row.
+    # The multipliers are about 65, and the KKT solve's roundoff steps of
+    # 2.9e-13, above the absolute zero-step test, ran the iterations out.
+    chi = sa.random_chi_batch(sa.RandomChannelSpec(2026, 20))[1]
+    f_target = sa.metrics.worst_of_quadratic(*sa.metrics.chi_fidelity_quadratic(chi.matrix))[0]
+    gram, mtw, rows, h = _qp_data(chi, "pmc", f_target)
+    witness = fibonacci_sphere(400)[314]
+    rng = np.random.default_rng(0)
+    nearby = witness + 1e-3 * rng.standard_normal((200, 3))
+    for k, r in enumerate([witness, *(nearby / np.linalg.norm(nearby, axis=1)[:, None])]):
+        rows[-1] = _honesty_row("pmc", r)
+        res = solve_lsq_qp(gram, mtw, rows, h, _vertex_start(rows[-1], h[-1]))
+        assert res.converged, k
+        assert res.kkt_residual <= 1e-11, k
+        if k == 0:
+            assert res.iterations <= 10
 
 
 @pytest.mark.xfail(
