@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
 """Data behind the studies, one subcommand per study:
 
-  adc     amplitude damping: distance curves for all four models plus
-          Bloch-ball cross-sections at gamma = 0.25 under both constraints
-  pol     polarization: distance versus the polarization axis angle for all
-          four models at fixed error probability
-  random  random channels: best approximation of many random CPTP process
-          matrices by each model, with summary statistics
+  adc        amplitude damping: distance curves for all four models plus
+             Bloch-ball cross-sections at gamma = 0.25 under both constraints
+  pol        polarization: distance versus the polarization axis angle for all
+             four models at fixed error probability
+  random     random channels: best approximation of many random CPTP process
+             matrices by each model, with summary statistics
+  reference  the ten CLI commands whose output a change that claims to keep
+             it must leave byte-identical: run it on two trees and compare
+             the two --out-dir directories with diff -r
 
 Each study runs the stabapprox CLI in-process, once per data file under
 --out-dir.  A run's stdout goes to its file; the random study's stderr, the
-JSON summary, goes to random_summary.json.  A run that fails writes no file:
-its stderr is printed and the script exits with its code.
+JSON summary, goes to random_summary.json, and each reference command's
+stdout and stderr go to <name>.out and <name>.err.  A run that fails writes
+no file: its stderr is printed and the script exits with its code.
 """
 
 import argparse
@@ -21,6 +25,7 @@ import math
 import pathlib
 import sys
 
+import stabapprox as sa
 from stabapprox import cli
 
 
@@ -55,6 +60,43 @@ def random_runs(args):
     ]
 
 
+def reference_runs(args):
+    # validate reads the ADC gamma = 0.3 process matrix saved here first.
+    chi_file = args.out_dir / "adc_gamma_0.3.json"
+    cli.save_chi_file(sa.kraus_to_chi(sa.adc(sa.AdcSpec(0.3))), str(chi_file))
+    runs = {
+        "random_200_seed424242": ["random", "--count", "200", "--seed", "424242"],
+        "random_30_seed5_worst": [
+            "random", "--count", "30", "--seed", "5", "--constraint", "worst",
+        ],
+        "random_12_seed3_json": ["random", "--count", "12", "--seed", "3", "--out", "json"],
+        "sweep_adc_201": ["sweep", "--target", "adc", "--min", "0", "--max", "1", "--steps", "201"],
+        "sweep_pol_201": [
+            "sweep", "--target", "pol", "--min", "0", "--max", "1.5707963",
+            "--steps", "201", "--p", "0.1",
+        ],
+        "sweep_adc_19_worst": [
+            "sweep", "--target", "adc", "--min", "0.05", "--max", "0.95",
+            "--steps", "19", "--constraint", "worst",
+        ],
+        "sweep_pol_21_worst": [
+            "sweep", "--target", "pol", "--min", "0", "--max", "1.5707963",
+            "--steps", "21", "--constraint", "worst",
+        ],
+        "bloch_adc_pmc_worst": [
+            "bloch-section", "--target", "adc", "--gamma", "0.25",
+            "--model", "pmc", "--constraint", "worst",
+        ],
+        "approx_adc_cmc_worst": [
+            "approx", "--target", "adc", "--gamma", "0.25",
+            "--model", "cmc", "--constraint", "worst",
+        ],
+        "validate_adc_gamma_0.3": ["validate", "--file", str(chi_file)],
+    }
+    for name, argv in runs.items():
+        yield f"{name}.out", f"{name}.err", argv
+
+
 def main() -> None:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default="results", type=pathlib.Path)
@@ -74,6 +116,8 @@ def main() -> None:
     p.add_argument("--count", type=int, default=2000)
     p.add_argument("--seed", type=int, default=20260810)
     p.set_defaults(runs=random_runs)
+    p = sub.add_parser("reference", parents=[common])
+    p.set_defaults(runs=reference_runs)
     args = ap.parse_args()
     args.out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -83,6 +83,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,8 +133,9 @@ class ApproximationProblem:
     """Target channel, mixture model and constraint kind.
 
     Both constraints work from the process matrix alone: a Kraus target is
-    converted to it here.  target_kraus is accepted for callers that still
-    pass a Kraus form, and ignored.
+    converted to it here, and any other target raises ValueError.
+    target_kraus is accepted for callers that still pass a Kraus form, and
+    ignored.
     """
 
     target: ChiMatrix | KrausChannel
@@ -144,6 +146,10 @@ class ApproximationProblem:
     def __post_init__(self) -> None:
         if isinstance(self.target, KrausChannel):
             object.__setattr__(self, "target", kraus_to_chi(self.target))
+        elif not isinstance(self.target, ChiMatrix):
+            raise ValueError(
+                f"target must be a ChiMatrix or a KrausChannel, got {type(self.target).__name__}"
+            )
 
 
 @dataclass(frozen=True)
@@ -185,19 +191,6 @@ def _vec_real(a: np.ndarray) -> np.ndarray:
     return np.concatenate([a.real.ravel(), a.imag.ravel()])
 
 
-@lru_cache(maxsize=None)
-def _model_matrix(model: str) -> np.ndarray:
-    """Columns vec(chi_a - chi_I) of the affine map p -> chi(p) - chi_I."""
-    deltas = generator_chis(model) - identity_chi().matrix
-    return _read_only(np.stack([_vec_real(d) for d in deltas], axis=1))
-
-
-@lru_cache(maxsize=None)
-def _gram(model: str) -> np.ndarray:
-    """m^T m, the quadratic term of every QP on the model."""
-    return _read_only(_model_matrix(model).T @ _model_matrix(model))
-
-
 def _target_vector(target: ChiMatrix) -> np.ndarray:  # w of ||m p - w||^2
     return _vec_real(target.matrix - identity_chi().matrix)
 
@@ -208,12 +201,26 @@ def _honesty_row(model: str, r: np.ndarray) -> np.ndarray:
     return 1.0 - (hs @ r @ r + 2.0 * (gs @ r) + cs)
 
 
+class _ModelData(NamedTuple):
+    """What every solve on a model reads, read-only."""
+
+    m: np.ndarray  # columns vec(chi_a - chi_I) of the affine map p -> chi(p) - chi_I
+    gram: np.ndarray  # m^T m, the quadratic term of every QP on the model
+    rows: np.ndarray  # honesty rows of r = 0 (row 0) and of the _START_WITNESSES (rows 1 on)
+    # Whether every g_a is 0 and every H_a diagonal: then a mixture's
+    # fidelity on a unit r is c + sum_k H_kk r_k^2, least on an axis state.
+    axis_witnessed: bool
+
+
 @lru_cache(maxsize=None)
-def _fixed_rows(model: str) -> np.ndarray:
-    """Honesty rows of the average input r = 0 (row 0) and of the
-    _START_WITNESSES (rows 1 on), each as _honesty_row builds it."""
+def _model_data(model: str) -> _ModelData:
+    deltas = generator_chis(model) - identity_chi().matrix
+    m = _read_only(np.stack([_vec_real(d) for d in deltas], axis=1))
     inputs = np.vstack([np.zeros(3), _START_WITNESSES])
-    return _read_only(np.stack([_honesty_row(model, r) for r in inputs]))
+    rows = _read_only(np.stack([_honesty_row(model, r) for r in inputs]))
+    hs, gs, _ = generator_quadratics(model)
+    axis = not (gs.any() or (hs * (1.0 - np.eye(3))).any())
+    return _ModelData(m, _read_only(m.T @ m), rows, axis)
 
 
 def _qp_data(target: ChiMatrix, model: str, f_target: float):
@@ -225,10 +232,10 @@ def _qp_data(target: ChiMatrix, model: str, f_target: float):
     worst-case descent overwrites with each witness's row.  gram is shared
     per model and read-only; rows and h are fresh.
     """
-    m = _model_matrix(model)
-    rows = np.vstack([-np.ones(m.shape[1]), _fixed_rows(model)[0]])
+    data = _model_data(model)
+    rows = np.vstack([-np.ones(data.m.shape[1]), data.rows[0]])
     h = np.array([-1.0, 1.0 - f_target])
-    return _gram(model), m.T @ _target_vector(target), rows, h
+    return data.gram, data.m.T @ _target_vector(target), rows, h
 
 
 def _vertex_start(row: np.ndarray, need: float) -> np.ndarray:
@@ -342,14 +349,6 @@ def _solve_average(problem: ApproximationProblem) -> ApproximationResult:
     return _finish(problem, probs, f_target, f_model, True, res.iterations, 0)
 
 
-@lru_cache(maxsize=None)
-def _axis_witnessed(model: str) -> bool:
-    """Whether every g_a is 0 and every H_a diagonal: then a mixture's
-    fidelity on a unit r is c + sum_k H_kk r_k^2, least on an axis state."""
-    hs, gs, _ = generator_quadratics(model)
-    return not (gs.any() or (hs * (1.0 - np.eye(3))).any())
-
-
 def _mixture_form(model: str, p: np.ndarray):
     """(H, g, c) of the fidelity integrand of the mixture with raw
     probabilities p.  Every H_a is symmetric, and so is H."""
@@ -389,8 +388,8 @@ def _descent_limits(trail: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
-    model = problem.model
-    m, w = _model_matrix(model), _target_vector(problem.target)
+    model, data = problem.model, _model_data(problem.model)
+    m, w = data.m, _target_vector(problem.target)
     f_target = worst_of_quadratic(*chi_fidelity_quadratic(problem.target.matrix))[0]
     gram, mtw, rows, h = _qp_data(problem.target, model, f_target)
 
@@ -418,15 +417,15 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
     # A descent's first QP, and each axis QP, starts on the simplex-only optimum's
     # face with the honesty row added.
     first_face, starts = simplex.active + (m.shape[1] + 1,), []
-    if not ends and _axis_witnessed(model):
+    if not ends and data.axis_witnessed:
         # Every mixture's worst input is an axis state (+-e_k share a row), so the
         # optimum is the best of the three axis rows' convex QPs.  Each admits an
         # honest mixture: its largest entry is 1, a Pauli's off its axis.
-        for row in _fixed_rows(model)[1:4]:
+        for row in data.rows[1:4]:
             res = solve_on(row, _vertex_start(row, h[-1]), first_face)
             ends.append(end(res.x, row, 1, True))
     elif not ends:
-        starts = [row] + [_honesty_row(model, r) for r in frees[1:]] + list(_fixed_rows(model)[1:])
+        starts = [row] + [_honesty_row(model, r) for r in frees[1:]] + list(data.rows[1:])
     end_chis, first_rows = np.empty((0, m.shape[0])), set()
     for row in starts:
         # A descent is fixed by its first row, so a repeated row would repeat

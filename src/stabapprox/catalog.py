@@ -49,21 +49,15 @@ MODELS = ("pc", "pmc", "cc", "cmc")
 
 _AXES = "xyz"
 
-_KET0 = np.array([1.0, 0.0], dtype=complex)
-_KET1 = np.array([0.0, 1.0], dtype=complex)
-_KETP = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-_KETM = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
-_KETPI = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
-_KETMI = np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0)
-
-# Each entry: (eigenstate name, |f>, |f_perp>), in the canonical order.
+# Each entry: (eigenstate name, |f>), in the canonical order.  The entries
+# come in orthogonal pairs, so |f_perp> of entry i is the ket of entry i ^ 1.
 _EIGENSTATES = (
-    ("|0>", _KET0, _KET1),
-    ("|1>", _KET1, _KET0),
-    ("|+>", _KETP, _KETM),
-    ("|->", _KETM, _KETP),
-    ("|+i>", _KETPI, _KETMI),
-    ("|-i>", _KETMI, _KETPI),
+    ("|0>", np.array([1.0, 0.0], dtype=complex)),
+    ("|1>", np.array([0.0, 1.0], dtype=complex)),
+    ("|+>", np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)),
+    ("|->", np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)),
+    ("|+i>", np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)),
+    ("|-i>", np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0)),
 )
 
 
@@ -119,9 +113,9 @@ def _clifford_generators() -> list[Generator]:
 
 def _translation_generators() -> list[Generator]:
     out = []
-    for name, ket, ket_perp in _EIGENSTATES:
+    for i, (name, ket) in enumerate(_EIGENSTATES):
         keep = _read_only(np.outer(ket, ket.conj()))
-        swap = _read_only(np.outer(ket, ket_perp.conj()))
+        swap = _read_only(np.outer(ket, _EIGENSTATES[i ^ 1][1].conj()))
         out.append(Generator(f"T{name}", "translation", (keep, swap)))
     return out
 

@@ -63,9 +63,7 @@ def _fmt(x: float) -> str:
 
 
 def _fmt12(x: float) -> float:
-    """Round to 12 significant digits for JSON summaries."""
-    if not math.isfinite(x):
-        return x
+    """Round to 12 significant digits for JSON summaries; nan and inf pass as they are."""
     return float(f"{x:.12g}")
 
 

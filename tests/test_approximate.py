@@ -10,7 +10,7 @@ import pytest
 from scipy.optimize import minimize
 
 import stabapprox as sa
-from stabapprox.approximate import _honesty_row, _qp_data, _vertex_start
+from stabapprox.approximate import _honest_probs, _honesty_row, _qp_data, _vertex_start
 from stabapprox.qp import solve_lsq_qp
 from helpers import average_qp, fibonacci_sphere
 
@@ -452,8 +452,7 @@ def test_worst_case_solve_carries_no_state_across_solves():
                 r.iterations, r.converged, r.restarts_used, r.support)
 
     for model in sa.MODELS:
-        for cache in (approximate._model_matrix, approximate._gram, approximate._fixed_rows):
-            cache.cache_clear()
+        approximate._model_data.cache_clear()
         alone = answer(chi, model)
         answer(others[0], model)
         assert answer(chi, model) == alone, model
@@ -536,13 +535,52 @@ def test_pc_worst_case_is_the_global_optimum():
         assert np.sort(np.abs(witness)) == pytest.approx([0.0, 0.0, 1.0], abs=1e-12), index
 
 
+@pytest.mark.parametrize("model", ["pmc", "cc", "cmc"])
+def test_descent_worst_case_is_below_a_sampled_witness_oracle(model):
+    # Each witness row's QP optimum, made honest on its row, is an honest
+    # mixture, so its distance bounds the worst-case optimum from above: the
+    # best descent end may not lie above the best of them.
+    witnesses = fibonacci_sphere(100)
+    for index, chi in enumerate(sa.random_chi_batch(sa.RandomChannelSpec(seed=2026, count=6))):
+        result = sa.solve(sa.ApproximationProblem(chi, model, "worst"))
+        gram, mtw, rows, h = _qp_data(chi, model, result.f_target)
+        bounds = []
+        for r in witnesses:
+            rows[-1] = _honesty_row(model, r)
+            if rows[-1].max() >= h[-1]:  # else no mixture is honest on r
+                res = solve_lsq_qp(gram, mtw, rows, h, _vertex_start(rows[-1], h[-1]))
+                assert res.converged, (index, r)
+                probs, _ = _honest_probs(res.x, rows[-1], result.f_target)
+                mixture = sa.mixture_chi(sa.MixtureParams(model, probs))
+                bounds.append(sa.hs_distance(chi, mixture))
+        assert result.distance <= min(bounds) + 1e-12, index
+
+
+def test_honest_probs_raises_where_no_generator_is_honest():
+    # Every generator's fidelity on the row, 1 - 0.5, is above f_target.
+    with pytest.raises(sa.SolverError, match=r"f_target 0\.2"):
+        _honest_probs(np.array([0.3, 0.3]), np.array([0.5, 0.5]), 0.2)
+
+
+def test_honest_probs_collapses_onto_one_generator():
+    # An evenly faithful mixture on a row entry that is no power of two: its
+    # fidelity 1 - row @ x rounds to 0.7000000000000002, the blend toward e_0
+    # has no room (every generator is as faithful), no margin's shrink and no
+    # floored completion is honest, and the answer collapses onto e_0.
+    x = np.array([0.6046738821707679, 0.14615933526661473, 0.07946611616293589,
+                  0.05187550361460063, 0.1178251627850806])
+    probs, f_model = _honest_probs(x, np.array([0.3] * 5), 1.0 - 0.3)
+    assert probs.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert f_model == 0.7
+
+
 @pytest.mark.parametrize("model", sa.MODELS)
 def test_axis_rows_reach_one(model):
     # Every model starts with X, Y and Z, whose rounded integrands vanish
     # exactly off their own axis, so each axis row's largest entry is 1 and,
     # f_target being clipped to [0, 1], admits an honest mixture: the worst
     # case's axis QPs and descents need no feasibility test.
-    assert (sa.approximate._fixed_rows(model)[1:4].max(axis=1) == 1.0).all()
+    assert (sa.approximate._model_data(model).rows[1:4].max(axis=1) == 1.0).all()
 
 
 def rotation_chi(axis, turns):
@@ -796,6 +834,41 @@ print(repr(result.distance))
     )
     assert done.returncode == 0, done.stderr
     assert float(done.stdout) == pytest.approx(0.0189905, abs=1e-6)
+
+
+def test_target_that_is_not_a_channel_raises_value_error():
+    # A raw array is neither a process matrix nor a Kraus channel: solve
+    # raises a typed error, and a batch collects it and solves on.
+    raw = np.diag([2.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="ndarray"):
+        sa.solve(sa.ApproximationProblem(raw, "pc"))
+    bad, good = sa.solve_batch([raw, sa.identity_chi()], ["pc"])
+    assert "ChiMatrix or a KrausChannel" in bad.error
+    assert good.error is None and good.distance == 0.0
+
+
+def test_import_builds_no_table():
+    # The per-model tables are built on first use: importing the package
+    # leaves every one of their caches empty.
+    script = """
+import stabapprox
+from stabapprox import approximate, catalog
+
+caches = (catalog.enumerate_generators, catalog.generator_chis,
+          catalog.generator_quadratics, catalog.clifford_unitaries,
+          approximate._model_data)
+print([cache.cache_info().currsize for cache in caches])
+"""
+    env_path = str(Path(sa.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": env_path},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[0, 0, 0, 0, 0]"
 
 
 def test_solve_rejects_invalid_target():
