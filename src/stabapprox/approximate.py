@@ -532,9 +532,15 @@ def solve_batch(
     failures as results with error set instead of aborting the batch.
 
     Targets are process matrices or Kraus channels; a Kraus channel is
-    solved on its process matrix.  An unknown model or constraint is no
-    per-item failure: it raises ValueError before the first solve.
+    solved on its process matrix.  An unknown model or constraint, or a
+    single model name passed as models, is no per-item failure: it raises
+    ValueError before the first solve.
     """
+    if isinstance(models, str):
+        raise ValueError(
+            f"models must be a list of model names, got the string {models!r},"
+            f" which reads as {list(models)}"
+        )
     models = list(models)  # read once: an iterator would be used up by the check
     for model in models:  # raises ValueError on the first unknown model
         enumerate_generators(model)

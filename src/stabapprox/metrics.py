@@ -80,32 +80,40 @@ def avg_fidelity(v: np.ndarray, ch: KrausChannel) -> float:
     return min(max(fidelity_quadratic(v, ch)[2], 0.0), 1.0)
 
 
-def _sphere_argmin(lam: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Global minimizer of sum lam_j u_j^2 + 2 b.u on the unit sphere.
+def _sphere_argmin(lam: np.ndarray, b: np.ndarray, ball: bool = False) -> np.ndarray:
+    """Global minimizer of sum lam_j u_j^2 + 2 b.u on the unit sphere, or
+    on the closed unit ball when ball is true.
 
     lam must be ascending (eigh output).  The minimizer solves
-    u = -(lam + mu)^{-1} b with the unique mu >= -lam[0] at which
-    ||u|| = 1; when b has no component on the bottom eigenspace the
-    solution may need padding inside that eigenspace.
+    u = -(lam + mu)^{-1} b with lam + mu >= 0 and ||u|| = 1; on the ball
+    also mu >= 0, and ||u|| <= 1 where mu = 0 (More & Sorensen, "Computing
+    a trust region step", 1983).  The least multiplier is mu = -lam[0], or
+    on the ball 0 unless lam[0] < 0.  When b has no component where
+    lam + mu vanishes there and the rest of u fits, u is padded inside
+    that eigenspace onto the sphere, except on the ball at mu = 0.
 
-    mu is found by Newton's method on 1/||u(mu)|| - 1, which is concave and
-    increasing (More & Sorensen, "Computing a trust region step", 1983), in
-    the shift s = mu + lam[0] >= 0.  ||u|| >= ||b_{0..k}||/(lam_k + mu) for
-    every k, so the start s = max_k ||b_{0..k}|| - (lam_k - lam[0]) lies left
-    of the root and the iterates rise to it.  Components with b_j = 0 drop
-    out of ||u||; the start keeps every other term finite.
+    Otherwise mu is found by Newton's method on 1/||u(mu)|| - 1, which is
+    concave and increasing, in the shift s = mu + lam[0] >= 0.
+    ||u|| >= ||b_{0..k}||/(lam_k + mu) for every k, so the start
+    s = max_k ||b_{0..k}|| - (lam_k - lam[0]) lies left of the root and the
+    iterates rise to it.  Components with b_j = 0 drop out of ||u||; the
+    start keeps every other term finite.
     """
     lam0 = lam[0]
     scale = max(1.0, float(np.max(np.abs(lam))), float(np.linalg.norm(b)))
-    bottom = (lam - lam0) <= 1e-13 * scale
+    tol = 1e-13 * scale
+    onto_sphere = not ball or lam0 < -tol
+    shifted = lam + (-lam0 if onto_sphere else 0.0)
+    bottom = shifted <= tol
 
-    if float(np.max(np.abs(b[bottom]), initial=0.0)) <= 1e-13 * scale:
+    if float(np.max(np.abs(b[bottom]), initial=0.0)) <= tol:
         u = np.zeros(3)
         rest = ~bottom
-        u[rest] = -b[rest] / (lam[rest] - lam0)
+        u[rest] = -b[rest] / shifted[rest]
         n2 = float(u @ u)
         if n2 <= 1.0:
-            u[int(np.argmax(bottom))] = np.sqrt(1.0 - n2)
+            if onto_sphere:
+                u[int(np.argmax(bottom))] = np.sqrt(1.0 - n2)
             return u
 
     gap = lam - lam0
@@ -124,19 +132,6 @@ def _sphere_argmin(lam: np.ndarray, b: np.ndarray) -> np.ndarray:
     return u / float(np.linalg.norm(u))
 
 
-def _ball_argmin(lam: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Global minimizer of sum lam_j u_j^2 + 2 b.u on the closed unit ball
-    for lam >= 0 (up to roundoff)."""
-    scale = max(1.0, float(np.max(np.abs(lam))), float(np.linalg.norm(b)))
-    pos = lam > 1e-12 * scale
-    if float(np.max(np.abs(b[~pos]), initial=0.0)) <= 1e-11 * scale:
-        u = np.zeros(3)
-        u[pos] = -b[pos] / lam[pos]
-        if float(u @ u) <= 1.0:
-            return u
-    return _sphere_argmin(lam, b)
-
-
 def min_quadratic_form(
     h: np.ndarray, g: np.ndarray, c: float, *, domain: str = "pure"
 ) -> tuple[float, np.ndarray]:
@@ -145,6 +140,8 @@ def min_quadratic_form(
     domain="pure" restricts to the unit sphere, domain="mixed" searches the
     closed unit ball.  Returns (minimum value, minimizing Bloch vector); on
     the sphere with g = 0 the minimizer is eigh's first eigenvector of H.
+    Both domains take the trust-region step of one rule, for any symmetric
+    H, so the mixed minimum is never above the pure one.
     Raises ValueError unless H is 3x3, g a 3-vector and every entry finite.
     """
     if domain not in WORST_DOMAINS:
@@ -160,9 +157,7 @@ def min_quadratic_form(
     if domain == "pure" and not np.count_nonzero(g):
         r = q[:, 0]
         return float(c + r @ h @ r), r
-    b = q.T @ g
-    u = _sphere_argmin(lam, b) if domain == "pure" else _ball_argmin(lam, b)
-    r = q @ u
+    r = q @ _sphere_argmin(lam, q.T @ g, ball=domain == "mixed")
     value = float(r @ h @ r + 2.0 * (g @ r) + c)
     return value, r
 

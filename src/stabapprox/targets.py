@@ -3,6 +3,7 @@ random CPTP process matrices."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,9 @@ class RandomChannelSpec:
     count: int
 
     def __post_init__(self) -> None:
+        for name, value in (("seed", self.seed), ("count", self.count)):
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
         if self.seed < 0:

@@ -940,6 +940,16 @@ def test_solve_batch_rejects_an_unknown_model_before_any_solve(
     assert solves == []
 
 
+def test_solve_batch_rejects_a_model_name_passed_as_models(monkeypatch):
+    # One model name in place of a list is refused by name, not read as the
+    # one-letter models 'c', 'm', 'c'.
+    solves = []
+    monkeypatch.setattr(sa.approximate, "solve", lambda problem: solves.append(problem))
+    with pytest.raises(ValueError, match="got the string 'cmc'"):
+        sa.solve_batch([sa.identity_chi()], "cmc")
+    assert solves == []
+
+
 def test_solve_batch_reads_an_iterator_of_models_once():
     # The up-front model check must not use up an iterator before the solves.
     targets = sa.random_chi_batch(sa.RandomChannelSpec(seed=3, count=2))

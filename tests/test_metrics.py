@@ -276,10 +276,13 @@ def test_min_quadratic_form_hard_case():
 
 def test_min_quadratic_form_meets_the_global_optimality_conditions():
     # More & Sorensen: a unit r with (H + mu I) r + g = 0 and H + mu I >= 0
-    # minimizes r.H.r + 2 g.r over the sphere.  Besides random forms, three
+    # minimizes r.H.r + 2 g.r over the sphere; on the ball also mu >= 0, or
+    # r is interior with H >= 0 and H r + g = 0.  Besides random forms, three
     # hard cases: b = 0 on the bottom eigenspace with the padded point
     # outside the sphere (a Newton start at mu = -lambda_0 divides 0/0
     # there), a bottom component at roundoff, and a doubled bottom eigenvalue.
+    # Indefinite forms with g off their negative eigenvectors have a saddle
+    # inside the ball that is no minimum; diag(-1, 1, 1) with g = 0 is one.
     rng = np.random.default_rng(53)
     forms = []
     for _ in range(500):
@@ -291,12 +294,30 @@ def test_min_quadratic_form_meets_the_global_optimality_conditions():
         (np.diag([0.0, 1.0, 2.0]), np.array([1e-14, 0.3, 0.1])),
         (q @ np.diag([0.5, 0.5, 2.0]) @ q.T, q @ np.array([0.2, -0.4, 0.3])),
     ]
+    for _ in range(200):
+        a = rng.standard_normal((3, 3))
+        lam, q = np.linalg.eigh(a + a.T)
+        b = rng.standard_normal(3) * 10 ** rng.uniform(-6, 1)
+        b[lam < 0] = 0.0
+        forms.append((a + a.T, q @ b))
+    forms.append((np.diag([-1.0, 1.0, 1.0]), np.zeros(3)))
     for h, g in forms:
-        _, r = sa.min_quadratic_form(h, g, 0.0, domain="pure")
+        lam0 = np.linalg.eigvalsh(h)[0]
+        sphere, r = sa.min_quadratic_form(h, g, 0.0, domain="pure")
         assert abs(np.linalg.norm(r) - 1.0) <= 1e-12
         mu = -float(r @ (h @ r + g))
-        assert mu >= -np.linalg.eigvalsh(h)[0] - 1e-10
+        assert mu >= -lam0 - 1e-10
         assert np.linalg.norm((h + mu * np.eye(3)) @ r + g) <= 1e-10
+        ball, r = sa.min_quadratic_form(h, g, 0.0, domain="mixed")
+        assert ball <= sphere + 1e-12
+        if np.linalg.norm(r) < 1.0 - 1e-12:
+            assert lam0 >= -1e-10
+            assert np.linalg.norm(h @ r + g) <= 1e-10
+        else:
+            mu = -float(r @ (h @ r + g))
+            assert mu >= max(-lam0, 0.0) - 1e-10
+            assert np.linalg.norm((h + mu * np.eye(3)) @ r + g) <= 1e-10
+    assert ball == -1.0 and np.array_equal(np.abs(r), [1.0, 0.0, 0.0])
 
 
 def test_min_quadratic_form_with_g_zero_is_the_secular_minimiser():

@@ -98,6 +98,18 @@ def test_random_channel_spec_rejects_a_negative_seed():
         sa.RandomChannelSpec(seed=-5, count=1)
 
 
+@pytest.mark.parametrize("seed, count", [(1.5, 2), (1, 2.5), (1.0, 2)])
+def test_random_channel_spec_rejects_a_non_integer(seed, count):
+    # Caught at construction, not later inside numpy's seeding or range().
+    with pytest.raises(ValueError, match="must be an integer"):
+        sa.RandomChannelSpec(seed=seed, count=count)
+
+
+def test_random_channel_spec_accepts_numpy_integers():
+    spec = sa.RandomChannelSpec(seed=np.int64(77), count=np.int32(2))
+    assert len(sa.random_chi_batch(spec)) == 2
+
+
 def test_generation_error_when_budget_exhausted():
     with pytest.raises(sa.GenerationError):
         sa.random_chi(np.random.default_rng(0), max_attempts=0)
