@@ -48,17 +48,19 @@ descent wins.
   worst inputs where those form a circle, the other 14 from the axis states
   and the cube diagonals.  Each end is made honest on its last QP's row and
   the least distance wins (the first on a tie).  A descent is fixed by its
-  first row, so a start whose row repeats an earlier start's row is not
-  descended again (without a measurement generator q_a(r) = q_a(-r), so r
-  and -r share a row, which leaves at most 8 descents on cc).
+  first row, so a start whose row repeats an earlier start's row, within
+  the 1e-9 a descent's stop rule allows, is not descended again (without a
+  measurement generator q_a(r) = q_a(-r), so r and -r share a row, which
+  leaves at most 8 descents on cc).
 * Faces.  Consecutive descent QPs differ only in their honesty row, so
   each starts on a face (stabapprox.qp): the simplex-only QP on the empty
   one, its unconstrained minimiser; a descent's first QP, and each axis
   QP, on the simplex-only optimum's working set plus the honesty row;
   every later QP on the working set of the QP before it.  Where a face's
-  minimiser fails its LU solve or is infeasible, the QP starts as before:
-  from 0, the vertex start or the previous p.  The average QP takes no
-  face.
+  minimiser is infeasible, the QP grows the face by the bounds and rows
+  that minimiser breaks until it is feasible.  Where that fails (a failed
+  LU solve or dependent rows), the QP starts as before: from 0, the vertex
+  start or the previous p.  The average QP takes no face.
 * Stops.  A descent stops, counted as converged, once its next row is
   within 1e-9 (largest entry) of the row its last QP solved: a QP started
   at its own optimum returns it, so a descent never solves the same row
@@ -426,13 +428,14 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
             ends.append(end(res.x, row, 1, True))
     elif not ends:
         starts = [row] + [_honesty_row(model, r) for r in frees[1:]] + list(data.rows[1:])
-    end_chis, first_rows = np.empty((0, m.shape[0])), set()
+    end_chis, first_rows = np.empty((0, m.shape[0])), np.empty((0, m.shape[1]))
     for row in starts:
         # A descent is fixed by its first row, so a repeated row would repeat
-        # an end already in ends.
-        if row.tobytes() in first_rows:
+        # an end already in ends; rows within _DESCENT_ROW_STALL are the same
+        # row to a descent.
+        if (np.abs(first_rows - row).max(axis=1) <= _DESCENT_ROW_STALL).any():
             continue
-        first_rows.add(row.tobytes())
+        first_rows = np.vstack([first_rows, row])
         if row.max() < h[-1]:
             continue  # no mixture is honest on this input
         # Each QP after the first starts on the face its predecessor ended on.

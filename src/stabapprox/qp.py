@@ -43,19 +43,24 @@ KKT system,
     [  A      0  ] [ nu  ] = [ h_W ],
 
 held to the same 1e-10 residual test, gives the minimiser of the objective
-on the face and its multipliers.  Where it passes and that minimiser is
-feasible, the solve starts there, with the face as its working set and nu
-as its first iteration's multipliers: a face that is still optimal returns
-after that one LU solve.  Otherwise the solve starts from x0 as above.
-The loop needs the face's rows independent, so a face whose rows are
-dependent over its free variables (more rows than free variables, or the
-start's rank test on two or more rows) is rejected before its LU solve:
+on the face and its multipliers.  Where that minimiser is infeasible, the
+face is repaired as in the inner loop of NNLS (Lawson & Hanson, *Solving
+Least Squares Problems*, 1974): every free variable it drives negative is
+fixed at 0, every idle row it breaks is held, and the grown face is solved
+again, until its minimiser is feasible.  Each round holds at least one more
+constraint, so the repair ends.  The solve then starts there, with the face
+as its working set and nu as its first iteration's multipliers: a face that
+is still optimal returns after that one LU solve.  Where a round's LU solve
+fails, the solve starts from x0 as above.  The loop needs the face's rows
+independent, so a face whose rows are dependent over its free variables
+(more rows than free variables, or the start's rank test on two or more
+rows), as given or as grown, also starts from x0, before its LU solve:
 their KKT matrix is singular, yet LU passes the residual test where h_W
 satisfies the same dependency.  A lone row that vanishes on the free
 variables makes the KKT matrix exactly singular, which LU rejects.  A
 singular G_FF alone does no harm: the empty face of cc's and cmc's
-rank-deficient Gram matrices can pass the test, and a feasible x with
-G x = b is optimal.
+rank-deficient Gram matrices can pass the test, and a minimiser on a face
+is optimal there whatever G_FF's rank.
 """
 
 from __future__ import annotations
@@ -119,29 +124,35 @@ def _lu_solve(kkt, rhs):
 
 
 def _face_start(gram, mtw, rows, h, face):
-    """(x, work, general, nu) at the minimiser x of x^T G x - 2 b^T x on the
-    face (fixed variables j and rows n + i held with equality), with nu its
-    rows' multipliers in the loop's convention; None where the face's rows
-    are dependent over its free variables, _lu_solve fails on its KKT system
-    or x is infeasible."""
+    """(x, work, general, nu) at the feasible minimiser x of x^T G x - 2 b^T x
+    on the face (fixed variables j and rows n + i held with equality), or on
+    the face it grows into, with nu its rows' multipliers in the loop's
+    convention.  Where the minimiser is infeasible, every free variable it
+    drives negative is fixed and every idle row it breaks is held, and the
+    grown face is solved again.  None where the face's rows are dependent
+    over its free variables or _lu_solve fails on its KKT system."""
     n = mtw.size
     work = np.zeros(n + len(h), dtype=bool)
     work[list(face)] = True
     general = [c - n for c in face if c >= n]
-    free = (~work[:n]).nonzero()[0]
-    a, ne = rows[general][:, free], len(general)
-    if ne > free.size or (ne > 1 and np.linalg.matrix_rank(a, tol=1e-12) < ne):
-        return None
-    kkt = _kkt(gram, a, free)
-    sol = _lu_solve(kkt, np.concatenate([mtw[free], h[general]]))
-    if sol is None:
-        return None
-    x = np.zeros(n)
-    x[free] = sol[:free.size]
-    idle = ~work[n:]
-    if x.min(initial=0.0) < 0.0 or (rows[idle] @ x - h[idle]).min(initial=0.0) < 0.0:
-        return None
-    return x, work, general, sol[free.size:]
+    while True:  # each round holds at least one more constraint
+        free = (~work[:n]).nonzero()[0]
+        a, ne = rows[general][:, free], len(general)
+        if ne > free.size or (ne > 1 and np.linalg.matrix_rank(a, tol=1e-12) < ne):
+            return None
+        sol = _lu_solve(_kkt(gram, a, free), np.concatenate([mtw[free], h[general]]))
+        if sol is None:
+            return None
+        x = np.zeros(n)
+        x[free] = sol[:free.size]
+        idle = (~work[n:]).nonzero()[0]
+        negative = free[x[free] < 0.0]
+        broken = idle[rows[idle] @ x - h[idle] < 0.0]
+        if not (negative.size or broken.size):
+            return x, work, general, sol[free.size:]
+        work[negative] = True
+        work[n + broken] = True
+        general += broken.tolist()
 
 
 def solve_lsq_qp(gram, mtw, rows, h, x0, face=None) -> QPResult:
@@ -154,8 +165,10 @@ def solve_lsq_qp(gram, mtw, rows, h, x0, face=None) -> QPResult:
     working rows stay independent from there on.
 
     face, a working set in QPResult.active's format, is a guess of the
-    optimal one: where its minimiser solves and is feasible the solve starts
-    there instead (the module docstring has the rules), else from x0.
+    optimal one: the solve starts instead at the feasible minimiser of that
+    face, grown by the bounds and rows its minimiser breaks until it has
+    one, and from x0 where that repair fails (the module docstring has the
+    rules).
     """
     gram, mtw = np.asarray(gram, dtype=float), np.asarray(mtw, dtype=float)
     rows = np.array(rows, dtype=float, ndmin=2)  # copies: the result keeps these rows

@@ -437,6 +437,26 @@ def test_worst_case_descent_qps_start_on_the_face_before_them(monkeypatch):
     assert sum(its for *_, its in warm) < sum(its for *_, its in cold)
 
 
+def test_worst_case_pc_axis_faces_are_repaired_on_the_adc_grid(monkeypatch):
+    # The simplex-only optimum's face plus an axis row has a minimiser off
+    # the simplex on every ADC gamma of the grid: all 27 axis QP face starts
+    # failed after one LU solve and started cold.  Repaired, none fails.
+    from stabapprox import qp
+
+    face_start, starts = qp._face_start, []
+
+    def recorded(*args):
+        starts.append(face_start(*args))
+        return starts[-1]
+
+    monkeypatch.setattr(qp, "_face_start", recorded)
+    for gamma in np.arange(1, 10) / 10:
+        result = sa.solve(adc_problem(gamma, "pc", "worst"))
+        assert result.converged and result.f_model <= result.f_target, gamma
+    assert len(starts) == 36  # per gamma, the simplex-only QP and three axis QPs
+    assert all(start is not None for start in starts)
+
+
 def test_worst_case_solve_carries_no_state_across_solves():
     # The fixed honesty rows are cached per model, read-only, and each
     # descent's faces live only inside its solve: a target's answer is

@@ -303,11 +303,24 @@ def test_face_start_after_a_honesty_row_change_reaches_the_cold_optimum():
     assert warm_its < cold_its
 
 
+def reaches_the_cold_optimum(problem, face, cold) -> None:
+    """The solve from face converges to a feasible point whose objective is
+    within 1e-12 (relative) of the cold solve's."""
+    gram, mtw, rows, h, _ = problem
+    warm = solve_lsq_qp(*problem, face=face)
+    assert warm.converged
+    assert min(warm.x.min(), (rows @ warm.x - h).min()) >= -1e-12
+    best = objective(gram, mtw, cold.x)
+    assert abs(objective(gram, mtw, warm.x) - best) <= 1e-12 * max(1.0, abs(best))
+
+
 def test_unusable_face_starts_from_x0_as_without_a_face():
     # A face whose minimiser is infeasible (one free variable j with
     # b_j < 0, so x_j = b_j / G_jj < 0), or whose KKT system is singular
-    # (no working set on a rank-deficient Gram matrix), is not used: the
-    # solve is bitwise the one from x0 alone.
+    # but solvable (no working set on a rank-deficient Gram matrix), is
+    # repaired: its negative variables are fixed and its broken rows held
+    # until the minimiser is feasible, or the solve starts from x0.  Either
+    # way it reaches the cold optimum.
     rng = np.random.default_rng(1107)
     infeasible = singular = 0
     for _ in range(60):
@@ -317,11 +330,10 @@ def test_unusable_face_starts_from_x0_as_without_a_face():
         cold = solve_lsq_qp(*problem)
         negative = (mtw < 0.0).nonzero()[0]
         if negative.size:
-            face = tuple(k for k in range(n) if k != negative[0])
-            assert same_solve(solve_lsq_qp(*problem, face=face), cold)
+            reaches_the_cold_optimum(problem, tuple(k for k in range(n) if k != negative[0]), cold)
             infeasible += 1
         if np.linalg.matrix_rank(gram) < n:
-            assert same_solve(solve_lsq_qp(*problem, face=()), cold)
+            reaches_the_cold_optimum(problem, (), cold)
             singular += 1
     assert infeasible >= 50 and singular >= 50
     # A face whose rows are dependent over its free variables, here both
@@ -338,3 +350,42 @@ def test_unusable_face_starts_from_x0_as_without_a_face():
             assert cold.converged
             for face in ((0, 1, 3, 4), (0, 3, 4)):
                 assert same_solve(solve_lsq_qp(m.T @ m, mtw, rows, h, x0, face=face), cold)
+
+
+def test_any_face_guess_reaches_the_cold_optimum():
+    # Random subsets of the bounds and rows as the face: each start is
+    # repaired to a feasible face or falls back to x0, and either way the
+    # solve reaches the cold optimum.
+    rng = np.random.default_rng(24)
+    repaired = 0
+    for _ in range(60):
+        problem = random_problem(rng)
+        gram, mtw, rows, h, x0 = problem
+        n = x0.size
+        cold = solve_lsq_qp(*problem)
+        for _ in range(5):
+            bounds = (rng.random(n) < rng.random()).nonzero()[0]
+            face = tuple(bounds.tolist()) + tuple(n + i for i in range(2) if rng.random() < 0.5)
+            start = qp._face_start(gram, mtw, rows, h, face)
+            repaired += start is not None and int(start[1].sum()) > len(face)
+            reaches_the_cold_optimum(problem, face, cold)
+    assert repaired >= 100
+
+
+def test_face_whose_minimiser_is_all_negative_ends():
+    # Every entry of the empty face's minimiser G^-1 b = b is negative, so
+    # the repair fixes every variable.  Where that minimiser also breaks the
+    # honesty row, the grown face holds a row over no free variable and the
+    # solve falls back to x0; where the row holds, the start is x = 0 with
+    # every bound fixed, optimal since the gradient -2 b is positive.
+    gram, mtw, rows = np.eye(3), np.array([-1.0, -2.0, -3.0]), np.array([[-1.0] * 3, [0.5, 1, 0.2]])
+    h = np.array([-1.0, 0.4])
+    x0 = np.array([0.0, 0.4, 0.0])
+    assert qp._face_start(gram, mtw, rows, h, ()) is None
+    assert same_solve(solve_lsq_qp(gram, mtw, rows, h, x0, face=()),
+                      solve_lsq_qp(gram, mtw, rows, h, x0))
+    h[1] = -4.0
+    x, work, general, _ = qp._face_start(gram, mtw, rows, h, ())
+    assert not x.any() and work.tolist() == [True] * 3 + [False] * 2 and general == []
+    res = solve_lsq_qp(gram, mtw, rows, h, x0, face=())
+    assert res.converged and res.iterations == 1 and not res.x.any()
