@@ -275,7 +275,7 @@ def _finish(
 
 def _honest_probs(x: np.ndarray, row: np.ndarray, f_target: float):
     """(probs, f_model) from a QP solution, with probs >= 0, sum(probs) <= 1
-    and f_model = 1 - row @ probs <= f_target exactly in floating point.
+    and f_model = 1 - row @ probs <= f_target in floats (1 - row[a] below).
 
     row is the honesty row of a witness input (the average row is r = 0), so
     F = 1 - row @ p is the mixture's fidelity there, an upper bound on its
@@ -293,9 +293,9 @@ def _honest_probs(x: np.ndarray, row: np.ndarray, f_target: float):
     can defeat every margin.  Then p is completed on the least faithful
     generators (row = row[a]): its shares on them are scaled to sum at most
     1 and floored to multiples of 2^-52, so that every sum is exact, and the
-    remainder goes to the largest.  Where row[a] is 1 (a target of fidelity
-    near 0) row @ p is then 1 exactly.  Only if that fails too is p
-    replaced by e_a.
+    remainder goes to the largest.  It sums to 1 exactly over entries
+    row[a], so its fidelity is F_a, as e_a's is, even where the float
+    1 - row @ p rounds above it, and it keeps the QP's spread.
     """
     a = int(np.argmax(row))
     f_a = 1.0 - float(row[a])
@@ -322,10 +322,7 @@ def _honest_probs(x: np.ndarray, row: np.ndarray, f_target: float):
     probs = np.where(least, base, 0.0)
     probs = np.floor(probs / max(float(probs.sum()), 1.0) * 2.0**52) / 2.0**52
     probs[np.argmax(np.where(least, probs, -1.0))] += 1.0 - float(probs.sum())
-    f_model = 1.0 - float(row @ probs)
-    if f_model <= f_target and float(probs.sum()) <= 1.0:
-        return probs, f_model
-    return np.eye(base.size)[a], f_a  # e_a
+    return probs, f_a
 
 
 def _solve_qp(gram, mtw, rows, h, x0, face=None):

@@ -10,13 +10,14 @@ of the QP itself.
 import numpy as np
 from scipy.optimize import minimize
 
-from stabapprox import PAULIS
+from stabapprox import PAULIS, ApproximationProblem, solve
 from stabapprox.approximate import _qp_data, _vertex_start
 
 
 def average_qp(target, model: str):
-    """(gram, mtw, rows, h, x0): the average problem's QP and its vertex start."""
-    f_target = float(target.matrix[0, 0].real) / 2.0
+    """(gram, mtw, rows, h, x0): the average problem's QP and its vertex start.
+    f_target is the solver's own, so that its clipping is not restated."""
+    f_target = solve(ApproximationProblem(target, model, "avg")).f_target
     gram, mtw, rows, h = _qp_data(target, model, f_target)
     return gram, mtw, rows, h, _vertex_start(rows[-1], h[-1])
 

@@ -582,16 +582,33 @@ def test_honest_probs_raises_where_no_generator_is_honest():
         _honest_probs(np.array([0.3, 0.3]), np.array([0.5, 0.5]), 0.2)
 
 
-def test_honest_probs_collapses_onto_one_generator():
+def test_honest_probs_keeps_an_evenly_faithful_mixture():
     # An evenly faithful mixture on a row entry that is no power of two: its
     # fidelity 1 - row @ x rounds to 0.7000000000000002, the blend toward e_0
-    # has no room (every generator is as faithful), no margin's shrink and no
-    # floored completion is honest, and the answer collapses onto e_0.
+    # has no room (every generator is as faithful) and no margin's shrink is
+    # honest.  The completion on the least faithful generators, here all of
+    # them, sums to 1 exactly, so its fidelity is 1 - 0.3 although the float
+    # 1 - row @ probs rounds above it; it once collapsed onto e_0 instead.
     x = np.array([0.6046738821707679, 0.14615933526661473, 0.07946611616293589,
                   0.05187550361460063, 0.1178251627850806])
-    probs, f_model = _honest_probs(x, np.array([0.3] * 5), 1.0 - 0.3)
-    assert probs.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
-    assert f_model == 0.7
+    f_target = 1.0 - 0.3
+    probs, f_model = _honest_probs(x, np.array([0.3] * 5), f_target)
+    assert np.abs(probs - x).max() <= 1e-15
+    assert probs.sum() == 1.0
+    assert f_model == 0.7 <= f_target
+
+
+def test_honest_probs_never_collapses_an_evenly_faithful_mixture():
+    # Random mixtures on the same row and f_target: whether a margin or the
+    # completion makes each honest, it stays where it was.
+    row, f_target = np.array([0.3] * 5), 1.0 - 0.3
+    rng = np.random.default_rng(0)
+    for k in range(2000):
+        x = rng.dirichlet(np.ones(5))
+        probs, f_model = _honest_probs(x, row, f_target)
+        assert np.count_nonzero(probs) > 1, k
+        assert np.abs(probs - x).max() <= 1e-12, k
+        assert f_model <= f_target and probs.sum() <= 1.0, k
 
 
 @pytest.mark.parametrize("model", sa.MODELS)

@@ -72,6 +72,22 @@ def test_infeasible_start_is_rejected():
         solve_lsq_qp(gram, mtw, rows, h, negative)
 
 
+@pytest.mark.parametrize("model", sa.MODELS)
+def test_average_qp_of_a_roundoff_negative_chi00_starts_on_the_simplex(model):
+    # A valid X flip whose chi_00 is a roundoff negative: the solver clips
+    # its average f_target to 0, so the honesty bound is 1 and the vertex
+    # start X is on the simplex and optimal.  From the unclipped chi_00 / 2
+    # the bound was 1 + 2.5e-11, and the QP from a start 2.5e-11 outside the
+    # simplex "converged" at KKT residual 2.5e-11.
+    chi = sa.ChiMatrix(np.diag([-5e-11, 2.0 + 5e-11, 0.0, 0.0]))
+    gram, mtw, rows, h, x0 = average_qp(chi, model)
+    assert h.tolist() == [-1.0, 1.0]
+    assert x0.tolist() == np.eye(x0.size)[0].tolist()
+    res = solve_lsq_qp(gram, mtw, rows, h, x0)
+    assert res.converged and res.kkt_residual <= 1e-15
+    assert res.x.tolist() == x0.tolist()
+
+
 def test_kkt_residual_is_computed_on_first_read_from_the_rows_solved():
     # The worst-case descent rewrites its honesty row in place after each
     # QP; a residual read afterwards must still be that of the rows solved.
@@ -276,6 +292,27 @@ def test_face_start_on_the_optimal_face_returns_after_one_iteration():
         assert warm.converged and warm.iterations == 1
         assert warm.active == cold.active
         assert np.abs(warm.x - cold.x).max() <= 1e-12
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the face's LU solve passes its 1e-10 relative residual test on a Gram "
+    "matrix of condition number 1e18, and a multiplier of several hundred turns the "
+    "honesty row's -8.0e-14 slack into an objective 1.17e-11 (relative) below the "
+    "cold optimum, at KKT residual 1.1e-10 (ROADMAP item 1)",
+)
+def test_face_start_on_an_ill_conditioned_optimal_face_keeps_its_rows():
+    # Draw 14 of seed 46 (20 variables, rank 5): the cold solve ends with row
+    # slacks (0, -4.4e-16) at KKT residual 6.3e-13.  Re-solved from its own
+    # working set it returns after one iteration with slacks (4.5e-14,
+    # -8.0e-14), below the cold objective.
+    problem = nth_random_problem(46, 14)
+    gram, mtw, rows, h, _ = problem
+    cold = solve_lsq_qp(*problem)
+    warm = solve_lsq_qp(*problem, face=cold.active)
+    best = objective(gram, mtw, cold.x)
+    assert abs(objective(gram, mtw, warm.x) - best) <= 1e-12 * abs(best)
+    assert (rows @ warm.x - h).min() >= -1e-15
 
 
 def test_face_start_after_a_honesty_row_change_reaches_the_cold_optimum():
