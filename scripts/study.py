@@ -9,7 +9,11 @@
              matrices by each model, with summary statistics
   reference  the ten CLI commands whose output a change that claims to keep
              it must leave byte-identical: run it on two trees and compare
-             the two --out-dir directories with diff -r
+             the two --out-dir directories with diff -r or compare
+  compare    BASE_DIR HEAD_DIR: one line per CSV file of two reference
+             directories that differs, giving its changed rows, its largest
+             distance rise and fall, and its rows whose support labels or
+             converged flag changed; files that are no CSV are skipped
 
 Each study runs the stabapprox CLI in-process, once per data file under
 --out-dir.  A run's stdout goes to its file; the random study's stderr, the
@@ -20,6 +24,7 @@ no file: its stderr is printed and the script exits with its code.
 
 import argparse
 import contextlib
+import csv
 import io
 import math
 import pathlib
@@ -97,6 +102,45 @@ def reference_runs(args):
         yield f"{name}.out", f"{name}.err", argv
 
 
+def read_csv(path):
+    """The rows of a CSV file as dicts, or None where the file is missing or
+    its first line is not a comma-separated list of column names."""
+    text = path.read_text(encoding="utf-8") if path.exists() else ""
+    if not all(name.isidentifier() for name in text.partition("\n")[0].split(",")):
+        return None
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+def support_labels(row):
+    return {item.rpartition("=")[0] for item in row["support"].split(";") if item}
+
+
+def compare(base_dir, head_dir):
+    names = sorted({path.name for d in (base_dir, head_dir) for path in d.iterdir()})
+    for name in names:
+        base, head = read_csv(base_dir / name), read_csv(head_dir / name)
+        if base is None or head is None:
+            if (base is None) != (head is None):
+                print(f"{name}: only in {'base' if head is None else 'head'} as a CSV file")
+            continue
+        # A row that only one side has counts as changed.
+        pad = [{}] * abs(len(base) - len(head))
+        pairs = [(a, b) for a, b in zip(base + pad, head + pad) if a != b]
+        if not pairs:
+            continue
+        line = f"{name}: {len(pairs)} of {max(len(base), len(head))} rows changed"
+        both = [(a, b) for a, b in pairs if a and b]
+        if both and "distance" in both[0][0]:  # a result CSV (cli.CSV_COLUMNS)
+            rises = [float(b["distance"]) - float(a["distance"]) for a, b in both]
+            supports = sum(support_labels(a) != support_labels(b) for a, b in both)
+            flips = sum(a["converged"] != b["converged"] for a, b in both)
+            line += (
+                f"; distance rise {max(0.0, *rises):.2g}, fall {max(0.0, *(-d for d in rises)):.2g};"
+                f" support changed in {supports}, converged in {flips}"
+            )
+        print(line)
+
+
 def main() -> None:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default="results", type=pathlib.Path)
@@ -118,7 +162,12 @@ def main() -> None:
     p.set_defaults(runs=random_runs)
     p = sub.add_parser("reference", parents=[common])
     p.set_defaults(runs=reference_runs)
+    p = sub.add_parser("compare")
+    p.add_argument("base_dir", type=pathlib.Path)
+    p.add_argument("head_dir", type=pathlib.Path)
     args = ap.parse_args()
+    if args.study == "compare":
+        return compare(args.base_dir, args.head_dir)
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
     for data, summary, argv in args.runs(args):

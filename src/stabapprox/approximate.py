@@ -64,14 +64,12 @@ descent wins.
 * Stops.  A descent stops, counted as converged, once its next row is
   within 1e-9 (largest entry) of the row its last QP solved: a QP started
   at its own optimum returns it, so a descent never solves the same row
-  twice in a row.  It also stops once its mixture's process matrix comes
-  within 1e-4 (largest entry) of an earlier end's: the QP's process matrix
-  is unique and fixes the next witness, so the descent could only find that
-  end again.  From its third QP on, so does the limit Aitken's
-  delta-squared process predicts from its last two steps, where the second
-  is at most 0.9 times the first.  A descent that rejoins an end stops as
-  that end did: converged is the end's.  A descent that meets no stop rule
-  within 200 QPs is cut there, not converged.
+  twice in a row.  It also stops, joined, once the witness of its last QP
+  lies within 5e-2 (Euclidean) of a witness an earlier descent met: the
+  witness fixes the rest of a descent, so it would follow that one to its
+  end.  A joined descent is still an end, made honest where it stopped, and
+  takes the converged of the end it joined.  A descent that meets no stop
+  rule within 200 QPs is cut there, not converged.
 
 Each answer is made honest on the row of its witness input (r = 0 under
 "avg"): a fidelity on one input bounds the worst-case fidelity from above,
@@ -122,8 +120,7 @@ _START_WITNESSES = np.vstack(
 )
 _DESCENT_MAX_QPS = 200  # QPs per start before a descent is cut off
 _DESCENT_ROW_STALL = 1e-9  # row change (largest entry) at which a descent stops
-_DESCENT_END_MATCH = 1e-4  # chi gap (largest entry) at which a descent rejoins an end
-_DESCENT_RATIO_MAX = 0.9  # largest step ratio from which a descent's limit is predicted
+_DESCENT_JOIN = 5e-2  # witness distance at which a descent joins an earlier one
 
 
 class SolverError(RuntimeError):
@@ -374,18 +371,6 @@ def _free_witnesses(model: str, p: np.ndarray) -> np.ndarray:
     return r - plane @ (r @ plane) + rho * np.stack([np.cos(phi), np.sin(phi)], 1) @ plane.T
 
 
-def _descent_limits(trail: list[np.ndarray]) -> list[np.ndarray]:
-    """A descent's last chi and, where its last two steps shrink by a ratio
-    of at most _DESCENT_RATIO_MAX (linear convergence), the limit Aitken's
-    delta-squared process predicts, at most 9 last steps further on."""
-    if len(trail) == 3:
-        step = trail[-1] - trail[-2]
-        s1, s0 = np.linalg.norm(step), np.linalg.norm(trail[-2] - trail[-3])
-        if 0.0 < s1 <= _DESCENT_RATIO_MAX * s0:
-            return [trail[-1], trail[-1] + step * (s1 / (s0 - s1))]
-    return trail[-1:]
-
-
 def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
     model, data = problem.model, _model_data(problem.model)
     m, w = data.m, _target_vector(problem.target)
@@ -425,7 +410,10 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
             ends.append(end(res.x, row, 1, True))
     elif not ends:
         starts = [row] + [_honesty_row(model, r) for r in frees[1:]] + list(data.rows[1:])
-    end_chis, first_rows = np.empty((0, m.shape[0])), np.empty((0, m.shape[1]))
+    # The witness of every QP of the descents finished so far, with the index
+    # in ends of the end its descent reached.
+    witnesses, owners = np.empty((0, 3)), []
+    first_rows = np.empty((0, m.shape[1]))
     for row in starts:
         # A descent is fixed by its first row, so a repeated row would repeat
         # an end already in ends; rows within _DESCENT_ROW_STALL are the same
@@ -440,24 +428,23 @@ def _solve_worst(problem: ApproximationProblem) -> ApproximationResult:
         for qps in range(1, _DESCENT_MAX_QPS + 1):
             res = solve_on(row, p, face)
             p, face = res.x, res.active
-            # The QP's chi is unique and fixes the next witness, so a descent
-            # whose chi has come back to an earlier end's can only find that
-            # end; so, once it converges linearly, can one whose limit has.
-            # A descent that rejoins an end stops as that end did.
-            chi = m @ p
-            trail = trail[-2:] + [chi]
-            gaps = np.abs(end_chis[:, None] - _descent_limits(trail)).max(axis=-1)
-            hit = (gaps <= _DESCENT_END_MATCH).any(axis=1)
-            if hit.any():
-                converged = ends[int(np.argmax(hit))][-1]
+            r = min_quadratic_form(*_mixture_form(model, p))[1]
+            # The witness fixes the rest of a descent, so one that comes within
+            # _DESCENT_JOIN of an earlier descent's is taken to follow it: it
+            # stops, still an end, and takes the converged of that one's end.
+            near = np.linalg.norm(witnesses - r, axis=1) <= _DESCENT_JOIN
+            if near.any():
+                converged = ends[owners[int(np.argmax(near))]][-1]
                 break
-            row = _honesty_row(model, min_quadratic_form(*_mixture_form(model, p))[1])
+            trail.append(r)
+            row = _honesty_row(model, r)
             # A QP started at its own optimum returns it, so the descent ends
             # once its row stops moving (a bitwise repeat has a gap of 0).
             converged = float(np.abs(row - rows[-1]).max()) <= _DESCENT_ROW_STALL
             if converged:
                 break
-        end_chis = np.vstack([end_chis, chi])
+        witnesses = np.vstack([witnesses, *trail])
+        owners += [len(ends)] * len(trail)
         # Ends are compared once honest on their last QP's row, rows[-1]: an end
         # that meets it only to within roundoff can cost far more (ADC gamma = 1,
         # cc: 0.5 vs 0.25).
@@ -492,8 +479,9 @@ def solve(problem: ApproximationProblem) -> ApproximationResult:
     simplex-only optimum is kept, else 15 (the start witnesses, a circle
     counted once and repeated rows included), also on an axis-witnessed
     model, whose three axis rows stand for them.  converged says whether
-    the winning descent met a stop rule before its QP budget ran out; it is
-    true under "avg" and for the two ends that run no descent.
+    the winning descent met a stop rule before its QP budget ran out, or,
+    where it joined an earlier descent, whether that one did; it is true
+    under "avg" and for the two ends that run no descent.
     """
     _check_constraint(problem.constraint)
     violations = validate_cptp(problem.target)
