@@ -9,11 +9,15 @@
              matrices by each model, with summary statistics
   reference  the ten CLI commands whose output a change that claims to keep
              it must leave byte-identical: run it on two trees and compare
-             the two --out-dir directories with diff -r or compare
-  compare    BASE_DIR HEAD_DIR: one line per CSV file of two reference
-             directories that differs, giving its changed rows, its largest
-             distance rise and fall, and its rows whose support labels or
-             converged flag changed; files that are no CSV are skipped
+             the two --out-dir directories with compare
+  compare    BASE_DIR HEAD_DIR: "identical" where no file differs, else one
+             line per differing file.  A CSV file on both sides gives its
+             changed rows, its largest distance rise and fall, and its rows
+             whose support labels or converged flag changed; any other file
+             (a JSON summary, a file on one side only, a CSV file whose rows
+             all match) gives its removed and added lines, "-R +A lines".
+             CI posts this report, between the src line counts and the
+             start of diff -r, for each pull request
 
 Each study runs the stabapprox CLI in-process, once per data file under
 --out-dir.  A run's stdout goes to its file; the random study's stderr, the
@@ -25,6 +29,7 @@ no file: its stderr is printed and the script exits with its code.
 import argparse
 import contextlib
 import csv
+import difflib
 import io
 import math
 import pathlib
@@ -102,11 +107,15 @@ def reference_runs(args):
         yield f"{name}.out", f"{name}.err", argv
 
 
-def read_csv(path):
-    """The rows of a CSV file as dicts, or None where the file is missing or
-    its first line is not a comma-separated list of column names."""
-    text = path.read_text(encoding="utf-8") if path.exists() else ""
-    if not all(name.isidentifier() for name in text.partition("\n")[0].split(",")):
+def read_text(path):
+    """A file's text, or None where it is missing."""
+    return path.read_text(encoding="utf-8") if path.exists() else None
+
+
+def read_csv(text):
+    """The rows of a CSV text as dicts, or None where the text is None or its
+    first line is not a comma-separated list of column names."""
+    if text is None or not all(n.isidentifier() for n in text.partition("\n")[0].split(",")):
         return None
     return list(csv.DictReader(io.StringIO(text)))
 
@@ -115,30 +124,47 @@ def support_labels(row):
     return {item.rpartition("=")[0] for item in row["support"].split(";") if item}
 
 
+def changed_rows(name, base, head):
+    """The changed rows of a CSV file, or None where none changed."""
+    # A row that only one side has counts as changed.
+    pad = [{}] * abs(len(base) - len(head))
+    pairs = [(a, b) for a, b in zip(base + pad, head + pad) if a != b]
+    if not pairs:
+        return None
+    line = f"{name}: {len(pairs)} of {max(len(base), len(head))} rows changed"
+    both = [(a, b) for a, b in pairs if a and b]
+    if both and "distance" in both[0][0]:  # a result CSV (cli.CSV_COLUMNS)
+        rises = [float(b["distance"]) - float(a["distance"]) for a, b in both]
+        supports = sum(support_labels(a) != support_labels(b) for a, b in both)
+        flips = sum(a["converged"] != b["converged"] for a, b in both)
+        line += (
+            f"; distance rise {max(0.0, *rises):.2g}, fall {max(0.0, *(-d for d in rises)):.2g};"
+            f" support changed in {supports}, converged in {flips}"
+        )
+    return line
+
+
+def changed_lines(name, base, head):
+    """The counts of removed and added lines between two texts; a line's end
+    counts, so a missing final newline changes the last line, as in diff."""
+    a, b = base.splitlines(keepends=True), head.splitlines(keepends=True)
+    ops = difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
+    removed = sum(i2 - i1 for tag, i1, i2, _, _ in ops if tag != "equal")
+    added = sum(j2 - j1 for tag, _, _, j1, j2 in ops if tag != "equal")
+    return f"{name}: -{removed} +{added} lines"
+
+
 def compare(base_dir, head_dir):
     names = sorted({path.name for d in (base_dir, head_dir) for path in d.iterdir()})
+    report = []
     for name in names:
-        base, head = read_csv(base_dir / name), read_csv(head_dir / name)
-        if base is None or head is None:
-            if (base is None) != (head is None):
-                print(f"{name}: only in {'base' if head is None else 'head'} as a CSV file")
+        base, head = read_text(base_dir / name), read_text(head_dir / name)
+        if base == head:
             continue
-        # A row that only one side has counts as changed.
-        pad = [{}] * abs(len(base) - len(head))
-        pairs = [(a, b) for a, b in zip(base + pad, head + pad) if a != b]
-        if not pairs:
-            continue
-        line = f"{name}: {len(pairs)} of {max(len(base), len(head))} rows changed"
-        both = [(a, b) for a, b in pairs if a and b]
-        if both and "distance" in both[0][0]:  # a result CSV (cli.CSV_COLUMNS)
-            rises = [float(b["distance"]) - float(a["distance"]) for a, b in both]
-            supports = sum(support_labels(a) != support_labels(b) for a, b in both)
-            flips = sum(a["converged"] != b["converged"] for a, b in both)
-            line += (
-                f"; distance rise {max(0.0, *rises):.2g}, fall {max(0.0, *(-d for d in rises)):.2g};"
-                f" support changed in {supports}, converged in {flips}"
-            )
-        print(line)
+        rows = read_csv(base), read_csv(head)
+        line = None if None in rows else changed_rows(name, *rows)
+        report.append(line or changed_lines(name, base or "", head or ""))
+    print("\n".join(report) or "identical")
 
 
 def main() -> None:

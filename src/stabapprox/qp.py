@@ -33,7 +33,9 @@ space of A, falls along it (R_i d < -1e-14); and a bound only where
 d_j < 0, so no combination of the rows of A vanishes off column j (it
 would vanish on d).  So A has at most |F| rows, and at |F| it is square and
 nonsingular: the step is 0, and LU solves A^T nu = (b - G x)_F in place of
-the KKT system.
+the KKT system.  That holds in exact arithmetic only: rows dependent to
+roundoff, as equality rows given as row pairs R and -R are, can make A^T
+singular, and lstsq solves it then.
 
 A solve may instead start on a face, a guessed working set (the worst-case
 descent passes the one its last QP ended on).  One LU solve of the face's
@@ -51,16 +53,20 @@ again, until its minimiser is feasible.  Each round holds at least one more
 constraint, so the repair ends.  The solve then starts there, with the face
 as its working set and nu as its first iteration's multipliers: a face that
 is still optimal returns after that one LU solve.  Where a round's LU solve
-fails, the solve starts from x0 as above.  The loop needs the face's rows
-independent, so a face whose rows are dependent over its free variables
-(more rows than free variables, or the start's rank test on two or more
-rows), as given or as grown, also starts from x0, before its LU solve:
-their KKT matrix is singular, yet LU passes the residual test where h_W
-satisfies the same dependency.  A lone row that vanishes on the free
-variables makes the KKT matrix exactly singular, which LU rejects.  A
-singular G_FF alone does no harm: the empty face of cc's and cmc's
-rank-deficient Gram matrices can pass the test, and a minimiser on a face
-is optimal there whatever G_FF's rank.
+fails, the solve starts from x0 as above, and so it does where the feasible
+minimiser breaks a held row i by more than roundoff, 1e-14 max(1, |h_i|):
+on a Gram matrix of condition number 1e18 LU can pass its residual test
+with a minimiser that breaks its held row by 8e-14 and lies below the
+optimum, and the loop, which never tests held rows, would certify it.
+The loop needs the face's rows independent, so a face whose rows are
+dependent over its free variables (more rows than free variables, or the
+start's rank test on two or more rows), as given or as grown, also starts
+from x0, before its LU solve: their KKT matrix is singular, yet LU passes
+the residual test where h_W satisfies the same dependency.  A lone row
+that vanishes on the free variables makes the KKT matrix exactly
+singular, which LU rejects.  A singular G_FF alone does no harm: the empty
+face of cc's and cmc's rank-deficient Gram matrices can pass the test, and
+a minimiser on a face is optimal there whatever G_FF's rank.
 """
 
 from __future__ import annotations
@@ -130,7 +136,10 @@ def _face_start(gram, mtw, rows, h, face):
     convention.  Where the minimiser is infeasible, every free variable it
     drives negative is fixed and every idle row it breaks is held, and the
     grown face is solved again.  None where the face's rows are dependent
-    over its free variables or _lu_solve fails on its KKT system."""
+    over its free variables, where _lu_solve fails on its KKT system, or
+    where the feasible minimiser breaks a held row i by more than roundoff,
+    1e-14 max(1, |h_i|): an ill-conditioned face's LU solve can pass its
+    residual test with such a minimiser."""
     n = mtw.size
     work = np.zeros(n + len(h), dtype=bool)
     work[list(face)] = True
@@ -145,10 +154,12 @@ def _face_start(gram, mtw, rows, h, face):
             return None
         x = np.zeros(n)
         x[free] = sol[:free.size]
-        idle = (~work[n:]).nonzero()[0]
+        slack = rows @ x - h
         negative = free[x[free] < 0.0]
-        broken = idle[rows[idle] @ x - h[idle] < 0.0]
+        broken = ((slack < 0.0) & ~work[n:]).nonzero()[0]
         if not (negative.size or broken.size):
+            if any(slack[i] < -1e-14 * max(1.0, abs(h[i])) for i in general):
+                return None  # a held row broken beyond roundoff
             return x, work, general, sol[free.size:]
         work[negative] = True
         work[n + broken] = True
@@ -210,7 +221,10 @@ def solve_lsq_qp(gram, mtw, rows, h, x0, face=None) -> QPResult:
         elif ne >= nf:
             # ne == nf: the working rows fix every free variable and the step is
             # 0, which an ill-conditioned KKT system can miss by roundoff steps.
-            nu = np.linalg.solve(a.T, descent[free])
+            try:
+                nu = np.linalg.solve(a.T, descent[free])
+            except np.linalg.LinAlgError:  # rows dependent by roundoff
+                nu, *_ = np.linalg.lstsq(a.T, descent[free], rcond=None)
         else:
             kkt = _kkt(gram, a, free)
             rhs = np.concatenate([descent[free], np.zeros(ne)])

@@ -4,7 +4,8 @@ from scipy.optimize import minimize
 
 import stabapprox as sa
 from stabapprox import qp
-from stabapprox.approximate import _honesty_row, _qp_data, _vertex_start
+from stabapprox.approximate import (
+    SolverError, _honesty_row, _model_data, _qp_data, _solve_qp, _vertex_start)
 from stabapprox.qp import kkt_residual, solve_lsq_qp
 from helpers import average_qp, fibonacci_sphere
 
@@ -275,6 +276,27 @@ def test_random_problem_with_a_squeezed_honesty_row_converges():
     assert res.kkt_residual <= 1e-9
 
 
+def test_equality_rows_as_pairs_never_raise_linalg_error():
+    # A mixture's face M p = M p* given as the row pairs M and -M, as a
+    # second stage on the optimal face would give it: the working rows that
+    # fix every free variable are dependent by roundoff, and LU on them
+    # raised LinAlgError, which solve_batch would file as an input failure.
+    # lstsq takes over, and the solve ends feasible, though not converged.
+    chi = sa.random_chi_batch(sa.RandomChannelSpec(31, 1))[0]
+    p = sa.solve(sa.ApproximationProblem(chi, "pmc")).params.probs
+    m = _model_data("pmc").m
+    m = m[np.abs(m).any(axis=1)]
+    assert m.shape[0] == 16
+    rows = np.vstack([-np.ones(p.size), m, -m])
+    h = np.concatenate([[-1.0], m @ p, -(m @ p)])
+    problem = (np.eye(p.size), np.full(p.size, -500.0), rows, h, p)
+    res = solve_lsq_qp(*problem)
+    assert not res.converged
+    assert res.x.min() >= 0.0 and (rows @ res.x - h).min() >= -1e-12
+    with pytest.raises(SolverError, match="did not converge"):
+        _solve_qp(*problem)
+
+
 def same_solve(a, b) -> bool:
     """Bitwise the same result: x, iterations, converged and working set."""
     return (a.x.tobytes(), a.iterations, a.converged, a.active) == (
@@ -294,18 +316,13 @@ def test_face_start_on_the_optimal_face_returns_after_one_iteration():
         assert np.abs(warm.x - cold.x).max() <= 1e-12
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the face's LU solve passes its 1e-10 relative residual test on a Gram "
-    "matrix of condition number 1e18, and a multiplier of several hundred turns the "
-    "honesty row's -8.0e-14 slack into an objective 1.17e-11 (relative) below the "
-    "cold optimum, at KKT residual 1.1e-10 (ROADMAP item 1)",
-)
 def test_face_start_on_an_ill_conditioned_optimal_face_keeps_its_rows():
     # Draw 14 of seed 46 (20 variables, rank 5): the cold solve ends with row
-    # slacks (0, -4.4e-16) at KKT residual 6.3e-13.  Re-solved from its own
-    # working set it returns after one iteration with slacks (4.5e-14,
-    # -8.0e-14), below the cold objective.
+    # slacks (0, -4.4e-16) at KKT residual 6.3e-13.  Its own working set's
+    # minimiser, from an LU solve that passes the residual test on a Gram
+    # matrix of condition number 1e18, breaks the held honesty row by
+    # 8.0e-14 and lies below the cold objective; that face is refused, and
+    # the solve starts from x0.
     problem = nth_random_problem(46, 14)
     gram, mtw, rows, h, _ = problem
     cold = solve_lsq_qp(*problem)

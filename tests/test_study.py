@@ -27,7 +27,7 @@ def test_study_usage_error_is_printed_and_writes_no_data_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_study_compare_prints_one_line_per_changed_csv_file(tmp_path):
+def test_study_compare_prints_one_line_per_changed_file(tmp_path):
     base, head = tmp_path / "base", tmp_path / "head"
     files = {
         "random.out": (
@@ -42,21 +42,30 @@ def test_study_compare_prints_one_line_per_changed_csv_file(tmp_path):
         ),
         "bloch.out": ("theta,x\n0.0,1.0\n0.5,0.75\n", "theta,x\n0.0,1.0\n0.5,0.875\n0.75,0.5\n"),
         "same.out": ("model,distance\npc,0.5\n", "model,distance\npc,0.5\n"),
-        "random.err": ('{"mean": 0.5}\n', '{"mean": 0.25}\n'),
+        "random.err": ('{\n "mean": 0.5,\n "count": 3\n}\n', '{\n "mean": 0.25,\n "count": 3\n}\n'),
         "empty.err": ("", ""),
+        "unterminated.out": ("model,distance\npc,0.5\n", "model,distance\npc,0.5"),
     }
     for d, side in ((base, 0), (head, 1)):
         d.mkdir()
         for name, texts in files.items():
             (d / name).write_text(texts[side], encoding="utf-8")
+    (base / "gone.err").write_text("error: one\nerror: two\n", encoding="utf-8")
     (head / "new.out").write_text("model,distance\npc,0.5\n", encoding="utf-8")
     done = run_study("compare", str(base), str(head))
     assert done.returncode == 0, done.stderr
-    # Only the labels of a support count, and the extra row of bloch.out is
-    # a changed row; the JSON and empty files are skipped.
+    # A CSV file on both sides reports its rows: only the labels of a
+    # support count, and the extra row of bloch.out is a changed row.  Every
+    # other differing file reports its lines: a JSON summary, a file on one
+    # side only, and a CSV file whose rows all match.
     assert done.stdout.splitlines() == [
         "bloch.out: 2 of 3 rows changed",
-        "new.out: only in head as a CSV file",
+        "gone.err: -2 +0 lines",
+        "new.out: -0 +2 lines",
+        "random.err: -1 +1 lines",
         "random.out: 2 of 3 rows changed; distance rise 0.031, fall 0.062;"
         " support changed in 1, converged in 1",
+        "unterminated.out: -1 +1 lines",
     ]
+    done = run_study("compare", str(base), str(base))
+    assert (done.returncode, done.stdout) == (0, "identical\n")
