@@ -12,10 +12,12 @@
              the two --out-dir directories with compare
   compare    BASE_DIR HEAD_DIR: "identical" where no file differs, else one
              line per differing file.  A CSV file on both sides gives its
-             changed rows, its largest distance rise and fall, and its rows
-             whose support labels or converged flag changed; any other file
-             (a JSON summary, a file on one side only, a CSV file whose rows
-             all match) gives its removed and added lines, "-R +A lines".
+             changed rows (aligned as diff aligns lines, so an inserted or
+             deleted row counts once), its largest distance rise and fall,
+             and its rows whose support labels or converged flag changed;
+             any other file (a JSON summary, a file on one side only, a CSV
+             file whose rows all match) gives its removed and added lines,
+             "-R +A lines".
              CI posts this report, between the src line counts and the
              start of diff -r, for each pull request
 
@@ -31,6 +33,7 @@ import contextlib
 import csv
 import difflib
 import io
+import itertools
 import math
 import pathlib
 import sys
@@ -125,10 +128,16 @@ def support_labels(row):
 
 
 def changed_rows(name, base, head):
-    """The changed rows of a CSV file, or None where none changed."""
-    # A row that only one side has counts as changed.
-    pad = [{}] * abs(len(base) - len(head))
-    pairs = [(a, b) for a, b in zip(base + pad, head + pad) if a != b]
+    """The changed rows of a CSV file, or None where none changed.  Rows are
+    aligned as diff aligns lines, so an inserted or deleted row moves no
+    other row: rows of a replaced block pair up in order, and a row that only
+    one side has counts once, as changed."""
+    pairs = []
+    matcher = difflib.SequenceMatcher(
+        None, [tuple(r.items()) for r in base], [tuple(r.items()) for r in head], autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag != "equal":
+            pairs += itertools.zip_longest(base[i1:i2], head[j1:j2], fillvalue={})
     if not pairs:
         return None
     line = f"{name}: {len(pairs)} of {max(len(base), len(head))} rows changed"

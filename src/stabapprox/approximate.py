@@ -65,11 +65,14 @@ descent wins.
   within 1e-9 (largest entry) of the row its last QP solved: a QP started
   at its own optimum returns it, so a descent never solves the same row
   twice in a row.  It also stops, joined, once the witness of its last QP
-  lies within 5e-2 (Euclidean) of a witness an earlier descent met: the
+  lies within 0.2 (Euclidean) of a witness an earlier descent met: the
   witness fixes the rest of a descent, so it would follow that one to its
-  end.  A joined descent is still an end, made honest where it stopped, and
-  takes the converged of the end it joined.  A descent that meets no stop
-  rule within 200 QPs is cut there, not converged.
+  end.  0.2 is under half the 0.518 chord between adjacent circle starts,
+  so the balls about two neighbouring starts do not meet; a wider radius
+  joins descents that end apart (at 0.5 one rotation by 0.9 turns reads
+  2.4e-4 farther).  A joined descent is still an end, made honest where
+  it stopped, and takes the converged of the end it joined.  A descent that
+  meets no stop rule within 200 QPs is cut there, not converged.
 
 Each answer is made honest on the row of its witness input (r = 0 under
 "avg"): a fidelity on one input bounds the worst-case fidelity from above,
@@ -120,7 +123,7 @@ _START_WITNESSES = np.vstack(
 )
 _DESCENT_MAX_QPS = 200  # QPs per start before a descent is cut off
 _DESCENT_ROW_STALL = 1e-9  # row change (largest entry) at which a descent stops
-_DESCENT_JOIN = 5e-2  # witness distance at which a descent joins an earlier one
+_DESCENT_JOIN = 0.2  # witness distance at which a descent joins an earlier one
 
 
 class SolverError(RuntimeError):

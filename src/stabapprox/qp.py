@@ -51,16 +51,18 @@ Least Squares Problems*, 1974): every free variable it drives negative is
 fixed at 0, every idle row it breaks is held, and the grown face is solved
 again, until its minimiser is feasible.  Each round holds at least one more
 constraint, so the repair ends.  The solve then starts there, with the face
-as its working set and nu as its first iteration's multipliers: a face that
-is still optimal returns after that one LU solve.  Where a round's LU solve
-fails, the solve starts from x0 as above, and so it does where the feasible
-minimiser breaks a held row i by more than roundoff, 1e-14 max(1, |h_i|):
-on a Gram matrix of condition number 1e18 LU can pass its residual test
-with a minimiser that breaks its held row by 8e-14 and lies below the
-optimum, and the loop, which never tests held rows, would certify it.
-The loop needs the face's rows independent, so a face whose rows are
-dependent over its free variables (more rows than free variables, or the
-start's rank test on two or more rows), as given or as grown, also starts
+as its working set.  x minimises the face, so its step is 0 by construction:
+the first iteration is the multiplier test on nu, with no KKT solve, and a
+face that is still optimal returns after that one LU solve.  Where a round's
+LU solve fails, the solve starts from x0 as above, and so it does where the
+feasible minimiser breaks a held row i by more than roundoff,
+1e-14 max(1, |h_i|): on a Gram matrix of condition number 1e18 LU can pass
+its residual test with a minimiser that breaks its held row by 8e-14 and
+lies below the optimum, and the loop, which never tests held rows, would
+certify it.  The loop needs the face's rows independent, so a face whose
+rows are dependent over its free variables (more rows than free
+variables, or, on two or more rows, a least singular value at most 1e-12,
+the start's rank test), as given or as grown, also starts
 from x0, before its LU solve: their KKT matrix is singular, yet LU passes
 the residual test where h_W satisfies the same dependency.  A lone row
 that vanishes on the free variables makes the KKT matrix exactly
@@ -126,7 +128,8 @@ def _lu_solve(kkt, rhs):
         sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
         return None
-    return sol if np.linalg.norm(kkt @ sol - rhs) <= 1e-10 * np.linalg.norm(rhs) else None
+    r = kkt @ sol - rhs  # norms as np.linalg.norm takes them, with less overhead
+    return sol if np.sqrt(r.dot(r)) <= 1e-10 * np.sqrt(rhs.dot(rhs)) else None
 
 
 def _face_start(gram, mtw, rows, h, face):
@@ -147,7 +150,9 @@ def _face_start(gram, mtw, rows, h, face):
     while True:  # each round holds at least one more constraint
         free = (~work[:n]).nonzero()[0]
         a, ne = rows[general][:, free], len(general)
-        if ne > free.size or (ne > 1 and np.linalg.matrix_rank(a, tol=1e-12) < ne):
+        # With ne <= |F|, rank(a) < ne exactly where its least singular value is at most
+        # matrix_rank's tol.
+        if ne > free.size or (ne > 1 and np.linalg.svd(a, compute_uv=False)[-1] <= 1e-12):
             return None
         sol = _lu_solve(_kkt(gram, a, free), np.concatenate([mtw[free], h[general]]))
         if sol is None:
@@ -211,32 +216,37 @@ def solve_lsq_qp(gram, mtw, rows, h, x0, face=None) -> QPResult:
     fixed = work[:n]
 
     for it in range(1, _MAX_ITER + 1):
-        free = (~fixed).nonzero()[0]
-        nf, ne = free.size, len(general)
-        a = rows[general][:, free]
         descent = mtw - gram @ x  # minus half the gradient
-        d, zero = np.zeros(n), 1e-13 * max(1.0, np.abs(x).max())  # zero-step test
-        if face_nu is not None:  # x minimises the face start's working set
-            nu, face_nu = face_nu, None
-        elif ne >= nf:
-            # ne == nf: the working rows fix every free variable and the step is
-            # 0, which an ill-conditioned KKT system can miss by roundoff steps.
-            try:
-                nu = np.linalg.solve(a.T, descent[free])
-            except np.linalg.LinAlgError:  # rows dependent by roundoff
-                nu, *_ = np.linalg.lstsq(a.T, descent[free], rcond=None)
+        # d is None where the step is 0: x minimises the face start's working set,
+        # or the step fails the zero-step test.
+        if face_nu is not None:
+            d, nu, face_nu = None, face_nu, None
         else:
-            kkt = _kkt(gram, a, free)
-            rhs = np.concatenate([descent[free], np.zeros(ne)])
-            sol = _lu_solve(kkt, rhs)
-            sound = sol is not None and (
-                descent[free] @ sol[:nf] > 0.0 or np.abs(sol[:nf]).max() <= zero)
-            if not sound:
-                sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-            d[free], nu = sol[:nf], sol[nf:]
+            free = (~fixed).nonzero()[0]
+            nf, ne = free.size, len(general)
+            a = rows[general][:, free]
+            d, zero = np.zeros(n), 1e-13 * max(1.0, np.abs(x).max())  # zero-step test
+            if ne >= nf:
+                # ne == nf: the working rows fix every free variable and the step
+                # is 0, which an ill-conditioned KKT system can miss by roundoff.
+                try:
+                    nu = np.linalg.solve(a.T, descent[free])
+                except np.linalg.LinAlgError:  # rows dependent by roundoff
+                    nu, *_ = np.linalg.lstsq(a.T, descent[free], rcond=None)
+            else:
+                kkt = _kkt(gram, a, free)
+                rhs = np.concatenate([descent[free], np.zeros(ne)])
+                sol = _lu_solve(kkt, rhs)
+                sound = sol is not None and (
+                    descent[free] @ sol[:nf] > 0.0 or np.abs(sol[:nf]).max() <= zero)
+                if not sound:
+                    sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+                d[free], nu = sol[:nf], sol[nf:]
+            step = np.abs(d).max()  # nu's scale is read only where the step would be taken
+            if step <= zero or step <= 1e-13 * np.abs(nu).max(initial=0.0):
+                d = None
 
-        step = np.abs(d).max()  # nu's scale is read only where the step would be taken
-        if step <= zero or step <= 1e-13 * np.abs(nu).max(initial=0.0):
+        if d is None:
             bounds = fixed.nonzero()[0]
             grad = -2.0 * descent
             lam_rows = -2.0 * nu

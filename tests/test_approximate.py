@@ -725,6 +725,38 @@ def test_worst_case_of_body_diagonal_rotations_agree(turns):
     assert max(distances) <= BODY_DIAGONAL_BEST[turns] + 1e-12
 
 
+def test_worst_case_join_radius_keeps_the_answers_of_a_smaller_one(monkeypatch):
+    # Two neighbouring circle starts lie 2 sin(pi/12) = 0.518 apart, so under
+    # half of that no witness is within the radius of both.  Within it, the
+    # join radius only cuts QPs: the answers are those of the earlier 5e-2.
+    approximate = sa.approximate
+    assert approximate._DESCENT_JOIN < np.sin(np.pi / 12)
+    qps = [0]
+    solve_lsq_qp = sa.qp.solve_lsq_qp
+
+    def counted(*args, **kwargs):
+        qps[0] += 1
+        return solve_lsq_qp(*args, **kwargs)
+
+    monkeypatch.setattr(sa.qp, "solve_lsq_qp", counted)
+    problems = [
+        (rotation_chi(axis, 0.75), model)
+        for axis in SYMMETRIC_AXES if 0 not in axis for model in ("cc", "cmc")
+    ]
+    problems += [(chi, "cc") for chi in sa.random_chi_batch(sa.RandomChannelSpec(2026, 5))]
+
+    def run():
+        qps[0] = 0
+        return [sa.solve(sa.ApproximationProblem(chi, m, "worst")).distance
+                for chi, m in problems], qps[0]
+
+    wide, wide_qps = run()
+    monkeypatch.setattr(approximate, "_DESCENT_JOIN", 5e-2)
+    narrow, narrow_qps = run()
+    assert wide == pytest.approx(narrow, rel=0.0, abs=1e-12)
+    assert narrow_qps > wide_qps
+
+
 def test_worst_case_descent_that_rejoins_an_end_stops_as_that_end_did(monkeypatch):
     # With two QPs per descent, the winner here rejoins after one QP an end
     # whose descent ran out of QPs: it did not stop by its rule either.

@@ -303,17 +303,27 @@ def same_solve(a, b) -> bool:
         b.x.tobytes(), b.iterations, b.converged, b.active)
 
 
-def test_face_start_on_the_optimal_face_returns_after_one_iteration():
+def test_face_start_on_the_optimal_face_returns_after_one_iteration(monkeypatch):
     # Re-solved from its own working set, a problem's face start is its
-    # optimum: one LU solve, and the multiplier test passes at once.
+    # optimum: the face's one LU solve, then a first iteration that is the
+    # multiplier test alone, which passes at once.
+    lu_solves = [0]
+    lu_solve = qp._lu_solve
+
+    def counted(*args):
+        lu_solves[0] += 1
+        return lu_solve(*args)
+
+    monkeypatch.setattr(qp, "_lu_solve", counted)
     rng = np.random.default_rng(1107)
-    for _ in range(60):
+    for k in range(60):
         problem = random_problem(rng)
         cold = solve_lsq_qp(*problem)
-        warm = solve_lsq_qp(*problem, face=cold.active)
-        assert warm.converged and warm.iterations == 1
-        assert warm.active == cold.active
-        assert np.abs(warm.x - cold.x).max() <= 1e-12
+        lu_solves[0] = 0
+        warm = reaches_the_cold_optimum(problem, cold.active, cold)
+        assert lu_solves[0] == 1 and warm.iterations == 1, k
+        assert warm.active == cold.active, k
+        assert np.abs(warm.x - cold.x).max() <= 1e-12, k
 
 
 def test_face_start_on_an_ill_conditioned_optimal_face_keeps_its_rows():
@@ -357,15 +367,16 @@ def test_face_start_after_a_honesty_row_change_reaches_the_cold_optimum():
     assert warm_its < cold_its
 
 
-def reaches_the_cold_optimum(problem, face, cold) -> None:
-    """The solve from face converges to a feasible point whose objective is
-    within 1e-12 (relative) of the cold solve's."""
+def reaches_the_cold_optimum(problem, face, cold):
+    """The solve from face, which must converge to a feasible point whose
+    objective is within 1e-12 (relative) of the cold solve's."""
     gram, mtw, rows, h, _ = problem
     warm = solve_lsq_qp(*problem, face=face)
     assert warm.converged
     assert min(warm.x.min(), (rows @ warm.x - h).min()) >= -1e-12
     best = objective(gram, mtw, cold.x)
     assert abs(objective(gram, mtw, warm.x) - best) <= 1e-12 * max(1.0, abs(best))
+    return warm
 
 
 def test_unusable_face_starts_from_x0_as_without_a_face():

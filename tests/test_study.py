@@ -29,7 +29,15 @@ def test_study_usage_error_is_printed_and_writes_no_data_file(tmp_path):
 
 def test_study_compare_prints_one_line_per_changed_file(tmp_path):
     base, head = tmp_path / "base", tmp_path / "head"
+    # A long CSV file with one row deleted, one duplicated and two edited:
+    # aligned as diff aligns lines, 4 rows changed.
+    rows = [f"pc,{k / 64},X={k / 128},true\n" for k in range(60)]
+    edited = [*rows[:20], *rows[21:42], *rows[41:]]
+    edited[5] = f"pc,{5 / 64 + 0.5},X={5 / 128},true\n"
+    edited[49] = f"pc,{50 / 64},Y={50 / 128},true\n"
+    header = "model,distance,support,converged\n"
     files = {
+        "long.out": (header + "".join(rows), header + "".join(edited)),
         "random.out": (
             "model,distance,support,converged\n"
             "pc,0.5,X=0.5;Y=0.25,true\n"
@@ -61,6 +69,8 @@ def test_study_compare_prints_one_line_per_changed_file(tmp_path):
     assert done.stdout.splitlines() == [
         "bloch.out: 2 of 3 rows changed",
         "gone.err: -2 +0 lines",
+        "long.out: 4 of 60 rows changed; distance rise 0.5, fall 0;"
+        " support changed in 1, converged in 0",
         "new.out: -0 +2 lines",
         "random.err: -1 +1 lines",
         "random.out: 2 of 3 rows changed; distance rise 0.031, fall 0.062;"
