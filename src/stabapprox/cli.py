@@ -26,7 +26,8 @@ documented in stabapprox.catalog ("X", "S+z", "H(x,y)+", "F(+,-,+)",
 "T|0>", ...).
 
 Exit codes: 0 success, 2 flag/input error, 3 solver failure, 4 random
-generation failure.
+generation failure.  A reader that closes stdout early (`| head`) ends
+the run quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import typing
 from dataclasses import asdict, dataclass, fields, replace
@@ -384,7 +386,14 @@ def main(argv=None) -> int:
     if args.command == "bloch-section" and args.points < 8:
         parser.error("--points must be >= 8")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): not an input error.  Python
+        # flushes stdout again at exit, so point it at devnull first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -51,7 +51,8 @@ class RandomChannelSpec:
 
     def __post_init__(self) -> None:
         for name, value in (("seed", self.seed), ("count", self.count)):
-            if not isinstance(value, numbers.Integral):
+            # bool is an Integral, but True is neither a seed nor a count.
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")

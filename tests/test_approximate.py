@@ -890,33 +890,17 @@ def test_average_results_are_honest_exactly():
         assert float(result.params.probs.sum()) <= 1.0
 
 
-def test_average_path_imports_no_scipy():
-    # Both constraint kinds run on numpy alone.
-    script = """
-import sys
-import stabapprox as sa
-
-ch = sa.adc(sa.AdcSpec(0.25))
-chi = sa.kraus_to_chi(ch)
-for model in sa.MODELS:
-    sa.solve(sa.ApproximationProblem(chi, model, "avg"))
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not loaded, loaded
-result = sa.solve(sa.ApproximationProblem(chi, "pc", "worst"))
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not loaded, loaded
-print(repr(result.distance))
-"""
-    env_path = str(Path(sa.__file__).resolve().parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": env_path},
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert float(done.stdout) == pytest.approx(0.0189905, abs=1e-6)
+@pytest.mark.xfail(
+    strict=True,
+    reason="the honesty row uses the rounded generator forms and mixture_chi the Kraus-route "
+    "tables: the mixture's process matrix reads 0.31506187271880143 against f_target "
+    "0.3150618727188014 (ROADMAP items 3 and 11)",
+)
+def test_reported_mixture_is_honest_through_its_process_matrix():
+    chi = sa.random_chi_batch(sa.RandomChannelSpec(seed=424242, count=1))[0]
+    result = sa.solve(sa.ApproximationProblem(chi, "cc", "avg"))
+    assert result.f_model <= result.f_target  # honest on the solver's own row
+    assert sa.chi_fidelity_quadratic(sa.mixture_chi(result.params).matrix)[2] <= result.f_target
 
 
 def test_target_that_is_not_a_channel_raises_value_error():

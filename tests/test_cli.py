@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -454,6 +457,23 @@ def test_solver_and_generation_failure_exit_codes(capsys, monkeypatch):
     monkeypatch.setattr(sa.targets, "random_chi", boom_gen)
     code, _, err = run_cli(capsys, ["random", "--count", "1", "--seed", "1"])
     assert code == 4 and "generation failure" in err
+
+
+def test_a_reader_that_closes_the_pipe_ends_the_run_quietly():
+    # `stabapprox bloch-section ... | head -1`: 5000 rows overfill the pipe,
+    # so the run is still writing when the reader goes.
+    argv = ["bloch-section", "--target", "adc", "--gamma", "0.25", "--model", "pc"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "stabapprox", *argv, "--points", "5000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(sa.__file__).resolve().parent.parent)},
+    ) as run:
+        assert run.stdout.readline().startswith("theta,")
+        run.stdout.close()
+        err = run.stderr.read()
+        assert (run.wait(timeout=120), err) == (0, "")
 
 
 def test_qp_that_does_not_converge_exits_3(capsys, monkeypatch):

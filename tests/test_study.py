@@ -8,14 +8,37 @@ import stabapprox as sa
 STUDY = Path(__file__).resolve().parent.parent / "scripts" / "study.py"
 
 
-def run_study(*args):
+def run_python(*args):
     return subprocess.run(
-        [sys.executable, str(STUDY), *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(Path(sa.__file__).resolve().parent.parent)},
         timeout=120,
     )
+
+
+def run_study(*args):
+    return run_python(str(STUDY), *args)
+
+
+def test_reference_commands_run_on_numpy_alone(tmp_path):
+    # The ten reference commands cover all four models under both
+    # constraints, every subcommand and both output formats.  scipy is
+    # installed for the tests, yet none of them imports it.
+    script = """
+import runpy, sys
+sys.argv = [sys.argv[1], "reference", "--out-dir", sys.argv[2]]
+runpy.run_path(sys.argv[0], run_name="__main__")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+    done = run_python("-c", script, str(STUDY), str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    files = {path.name for path in tmp_path.iterdir()}
+    names = {name.rpartition(".")[0] for name in files} - {"adc_gamma_0.3"}
+    assert len(names) == 10
+    assert files == {f"{n}{ext}" for n in names for ext in (".out", ".err")} | {"adc_gamma_0.3.json"}
 
 
 def test_study_usage_error_is_printed_and_writes_no_data_file(tmp_path):

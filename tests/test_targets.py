@@ -98,7 +98,7 @@ def test_random_channel_spec_rejects_a_negative_seed():
         sa.RandomChannelSpec(seed=-5, count=1)
 
 
-@pytest.mark.parametrize("seed, count", [(1.5, 2), (1, 2.5), (1.0, 2)])
+@pytest.mark.parametrize("seed, count", [(1.5, 2), (1, 2.5), (1.0, 2), (True, 2), (1, True)])
 def test_random_channel_spec_rejects_a_non_integer(seed, count):
     # Caught at construction, not later inside numpy's seeding or range().
     with pytest.raises(ValueError, match="must be an integer"):
